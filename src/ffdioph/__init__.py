@@ -1,10 +1,11 @@
 """ffdioph: exact Diophantine approximation experiments over F_q((1/X)).
 
 Subpackages mirror the pipeline: ffield (exact arithmetic and Haar-measure
-grids), ultracalc (difference quotients and skew gradients), goodfn
-(sublevel-set measures and (C, alpha)-goodness), dioph (approximability
-measures), latdyn (lattice encoding and reduction), ubiq (resonant-set
-witnesses and divergence sums), cli (experiment driver).
+grids), ultracalc (difference quotients and skew gradients), goodfn (the
+cell engine, sublevel-set measures and (C, alpha)-goodness), dioph
+(approximability measures), latdyn (lattice encoding and reduction), ubiq
+(resonant-set witnesses and divergence sums), xcli (experiment driver and
+command line).
 """
 
 from .errors import FieldMismatchError, PrecisionError

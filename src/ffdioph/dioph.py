@@ -23,6 +23,7 @@ from .ffield import (
     GridSpec,
     Laurent,
     Poly,
+    enumerate_box,
     enumerate_shell,
     shell_count,
     strict_below,
@@ -33,11 +34,12 @@ from .goodfn import (
     UNKNOWN,
     MeasureResult,
     TrueAtom,
+    VarTable,
     compare_abs_leq,
     frac_exp,
     measure_union,
 )
-from .ultracalc import AnalyticMap, MPoly
+from .ultracalc import AnalyticMap
 
 # ---------------------------------------------------------------------------
 # approximating functions
@@ -230,47 +232,6 @@ def borel_cantelli_sum(psi: ApproxFn, q: int, n: int, T: int) -> BCSum:
 # cell-sweep atoms specialized to a.f + theta combos
 # ---------------------------------------------------------------------------
 
-class VarTable:
-    """Variation bounds of one polynomial on subcells of a fixed domain.
-
-    table[w] bounds every weight-w coefficient of g recentered at any point
-    of the domain (a sup over the domain of the order-w difference
-    quotients, straight from the ultrametric coefficient bound).  The
-    variation of g on a subcell of radius exponent r is then
-    max_w table[w] - r*w, memoized per r.
-    """
-
-    __slots__ = ("table", "_memo")
-
-    def __init__(self, g: MPoly, domain: Ball):
-        rec = g.recenter(domain.center)
-        r0 = domain.radius_exp
-        table: dict[int, int] = {}
-        for mm, c in rec.terms.items():
-            wm = sum(mm)
-            e = c.abs_exp()
-            if e is None:
-                continue
-            for w in range(1, wm + 1):
-                b = e - r0 * (wm - w)
-                if w not in table or b > table[w]:
-                    table[w] = b
-        self.table = sorted(table.items())
-        self._memo: dict[int, Optional[int]] = {}
-
-    def var_exp(self, r: int) -> Optional[int]:
-        got = self._memo.get(r, "?")
-        if got != "?":
-            return got
-        best = None
-        for w, b in self.table:
-            e = b - r * w
-            if best is None or e > best:
-                best = e
-        self._memo[r] = best
-        return best
-
-
 class SweepData:
     """Per-sweep evaluation helpers for one map: the component polynomials,
     their partials, and variation tables over the sweep domain."""
@@ -353,21 +314,6 @@ class MapCellData:
                 if var is None or e > var:
                     var = e
         return acc, var
-
-
-def _var_exp(rec: MPoly, r: int) -> Optional[int]:
-    best = None
-    for mm, c in rec.terms.items():
-        w = sum(mm)
-        if w == 0:
-            continue
-        e = c.abs_exp()
-        if e is None:
-            continue
-        e -= r * w
-        if best is None or e > best:
-            best = e
-    return best
 
 
 class WitnessAtom:
@@ -476,7 +422,8 @@ def _norm_leq_status(comps, tau: int) -> int:
 
 @dataclass
 class SweepReport:
-    """Union measure plus per-shell tallies for a shell-range sweep."""
+    """Union measure plus per-shell tallies for a shell-range sweep; the
+    union is labelled by shell, so every sub-range reads off it."""
 
     union: MeasureResult
     per_shell: dict[int, MeasureResult]
@@ -485,6 +432,10 @@ class SweepReport:
     @property
     def certified(self) -> bool:
         return self.union.certified and all(r.certified for r in self.per_shell.values())
+
+    def interval(self, lo: int, hi: int) -> MeasureResult:
+        """The union over the shells lo..hi, from the same sweep."""
+        return self.union.restrict(range(lo, hi + 1))
 
 
 def _witness_depth(grid: GridSpec, shells: Sequence[int], taus: Sequence[int]) -> int:
@@ -505,7 +456,8 @@ def measure_W(
 ) -> SweepReport:
     """Exact measure of {x : some a with ||a|| in [q^t0, q^t1] has a witness}.
 
-    Returns the union measure and the per-shell hit measures.
+    One sweep with the atoms labelled by shell gives the union measure, the
+    per-shell hit measures and the union over every sub-range of shells.
     """
     if t0 > t1:
         raise ValueError("need t0 <= t1")
@@ -518,20 +470,18 @@ def measure_W(
     )
     dom = grid.resolved_domain
     sd = SweepData(m, dom)
-    per_shell = {}
-    all_atoms = []
-    for t, tau in zip(shells, taus):
-        atoms: list = []
-        if tau is None:
-            pass
-        elif tau >= -1:
-            atoms.append(TrueAtom())
+    atoms: list = []
+    labels: list[int] = []
+    for t, tau in live:
+        if tau >= -1:
+            shell_atoms = [TrueAtom()]
         else:
-            for a in enumerate_shell(m.spec, m.n, t):
-                atoms.append(WitnessAtom(sd, a, tau, value_theta=theta_on))
-        per_shell[t] = measure_union(atoms, dom, depth)
-        all_atoms.extend(atoms)
-    union = measure_union(all_atoms, dom, depth)
+            shell_atoms = [WitnessAtom(sd, a, tau, value_theta=theta_on)
+                           for a in enumerate_shell(m.spec, m.n, t)]
+        atoms.extend(shell_atoms)
+        labels.extend([t] * len(shell_atoms))
+    union = measure_union(atoms, dom, depth, labels)
+    per_shell = {t: union.restrict([t]) for t in shells}
     return SweepReport(union=union, per_shell=per_shell, domain_measure=dom.measure())
 
 
@@ -602,8 +552,6 @@ def smallgrad_atoms(m: AnalyticMap, t: int, t_prime: int, tvec: Sequence[int],
     tau_grad = strict_below(Fraction(t_prime))
     sd = SweepData(m, domain)
     atoms = []
-    from .ffield import enumerate_box
-
     for a in enumerate_box(m.spec, [ti - 1 for ti in tvec]):
         if all(p.is_zero for p in a):
             continue
@@ -646,8 +594,6 @@ def in_smallgrad_S_point(
     m: AnalyticMap, x: Sequence[Laurent], t: int, t_prime: int, tvec: Sequence[int]
 ) -> bool:
     """Pointwise membership in S(t,t',t_i): exhaustive over the a-box."""
-    from .ffield import enumerate_box
-
     fx = m.eval(x)
     for a in enumerate_box(m.spec, [ti - 1 for ti in tvec]):
         if all(p.is_zero for p in a):

@@ -40,6 +40,34 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _poly_divides(p: int, div: Sequence[int], mod: Sequence[int]) -> bool:
+    """Does div divide mod over F_p?  Both ascending coefficient lists."""
+    rem = list(mod)
+    dd = len(div) - 1
+    inv_lead = pow(div[-1], p - 2, p)
+    while len(rem) - 1 >= dd and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        f = rem[-1] * inv_lead % p
+        shift = len(rem) - 1 - dd
+        for i, c in enumerate(div):
+            rem[shift + i] = (rem[shift + i] - f * c) % p
+    return not any(rem)
+
+
+def _irreducible(p: int, mod: Sequence[int]) -> bool:
+    """Trial division by every monic polynomial of degree <= deg(mod)/2."""
+    b = len(mod) - 1
+    for deg in range(1, b // 2 + 1):
+        for enc in range(p**deg):
+            div = [enc // p**i % p for i in range(deg)] + [1]
+            if _poly_divides(p, div, mod):
+                return False
+    return True
+
+
 class FieldSpec:
     """A finite field F_q with q = p^b, acting on canonically encoded ints.
 
@@ -69,12 +97,32 @@ class FieldSpec:
             if len(mod) != b + 1 or mod[-1] == 0:
                 raise ValueError(f"modulus must have degree {b}")
             self.modulus = mod
-            if not self._modulus_irreducible():
+            if not _irreducible(p, mod):
                 raise ValueError("modulus is reducible")
         self._mul_table = None
         self._inv_table = None
         if self.q <= 64 and b > 1:
             self._build_tables()
+
+    @classmethod
+    def from_order(cls, q: int) -> "FieldSpec":
+        """F_q for a prime power q = p^b.  For b > 1 the modulus is the
+        smallest irreducible monic one of degree b, ordered by the integer
+        encoding of its lower coefficients (constant digit first)."""
+        p = next((k for k in range(2, q + 1) if q % k == 0), None)
+        b, rest = 0, q
+        while p is not None and rest % p == 0:
+            rest //= p
+            b += 1
+        if p is None or rest != 1:
+            raise ValueError(f"field order {q} is not a prime power")
+        if b == 1:
+            return cls(p)
+        for enc in range(p**b):
+            mod = [enc // p**i % p for i in range(b)] + [1]
+            if _irreducible(p, mod):
+                return cls(p, b, mod)
+        raise AssertionError("every degree has an irreducible polynomial")
 
     # -- encoding helpers ------------------------------------------------
 
@@ -90,44 +138,6 @@ class FieldSpec:
         for c in reversed(digits):
             a = a * self.p + (c % self.p)
         return a
-
-    def _modulus_irreducible(self) -> bool:
-        # brute root/factor check; b is tiny in practice
-        if self.b in (2, 3):
-            return all(self._eval_mod_poly(x) != 0 for x in range(self.p))
-        # trial division by all monic polynomials of degree <= b//2
-        for deg in range(1, self.b // 2 + 1):
-            for enc in range(self.p**deg):
-                digs = []
-                e = enc
-                for _ in range(deg):
-                    digs.append(e % self.p)
-                    e //= self.p
-                digs.append(1)
-                if self._poly_divides(digs):
-                    return False
-        return True
-
-    def _eval_mod_poly(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.modulus):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def _poly_divides(self, div: Sequence[int]) -> bool:
-        rem = list(self.modulus)
-        dd = len(div) - 1
-        inv_lead = pow(div[-1], self.p - 2, self.p)
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            f = rem[-1] * inv_lead % self.p
-            shift = len(rem) - 1 - dd
-            for i, c in enumerate(div):
-                rem[shift + i] = (rem[shift + i] - f * c) % self.p
-        return not any(rem)
 
     def _build_tables(self) -> None:
         q = self.q
@@ -388,11 +398,23 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         _check_same_spec(self, other)
         K = self.spec
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(K, [K.add(self[k], other[k]) for k in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        if K.b == 1:
+            # prime field: plain integer sums, reduced mod p by the constructor
+            for k, c in enumerate(b):
+                out[k] += c
+            return Poly(K, out)
+        for k, c in enumerate(b):
+            out[k] = K.add(out[k], c)
+        return Poly(K, out)
 
     def __neg__(self) -> "Poly":
         K = self.spec
+        if K.b == 1:
+            return Poly(K, [-c for c in self.coeffs])
         return Poly(K, [K.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -404,6 +426,12 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly.zero(K)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        if K.b == 1:
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in enumerate(other.coeffs):
+                        out[i + j] += a * b
+            return Poly(K, out)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -431,8 +459,13 @@ class Poly:
             f = K.mul(rem[-1], inv_lead)
             shift = len(rem) - 1 - dd
             quo[shift] = f
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = K.sub(rem[shift + i], K.mul(f, c))
+            if K.b == 1:
+                p = K.p
+                for i, c in enumerate(other.coeffs):
+                    rem[shift + i] = (rem[shift + i] - f * c) % p
+            else:
+                for i, c in enumerate(other.coeffs):
+                    rem[shift + i] = K.sub(rem[shift + i], K.mul(f, c))
             rem.pop()
         return Poly(K, quo), Poly(K, rem)
 
@@ -769,15 +802,6 @@ class Laurent:
         return format_laurent(self)
 
 
-def laurent_from_poly_ratio(num: Poly, den: Poly, n_terms: int = DEFAULT_INV_TERMS) -> Laurent:
-    """The Laurent expansion of the rational function num/den."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    return num.to_laurent().div_to_floor(
-        den.to_laurent(), (num.deg if num.deg is not None else 0) - den.deg - n_terms + 1
-    )
-
-
 def abs_ratio(num: Poly, den: Poly) -> AbsValue:
     """|num/den| = q^(deg num - deg den), exactly."""
     if den.is_zero:
@@ -855,7 +879,7 @@ def parse_terms(body: str, spec: FieldSpec) -> list[tuple[int, int]]:
         else:
             d = 0
         if neg:
-            c = spec.q - (c % spec.q) if c % spec.q else 0
+            c = spec.neg(c % spec.q)
         pairs.append((d, c))
     return pairs
 
@@ -870,7 +894,7 @@ def parse_laurent(s: str, spec: Optional[FieldSpec] = None) -> Laurent:
             raise ValueError(f"bad Laurent metadata in {s!r}")
         q = int(m.group(1))
         if spec is None:
-            spec = FieldSpec(q)
+            spec = FieldSpec.from_order(q)
         elif spec.q != q:
             raise FieldMismatchError(f"literal is mod {q}, expected mod {spec.q}")
         prec_len = int(m.group(2)) if m.group(2) else None

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import PrecisionError
 from .ffield import AbsValue, Ball, Laurent, strict_below
-from .ultracalc import MPoly
+from .ultracalc import MPoly, sup_norm_on_ball
 
 IN, OUT, UNKNOWN = 1, 0, -1
 
@@ -121,13 +121,41 @@ class QExp:
 
 @dataclass
 class MeasureResult:
-    """Exact outcome of a cell sweep: included mass plus undecided slack."""
+    """Exact outcome of a cell sweep: included mass plus undecided slack.
+
+    ``leaves`` maps (labels IN, labels undecided) to the mass of the sweep's
+    leaves with those label sets; ``restrict`` reads off the union over any
+    set of labels.
+    """
 
     included: Fraction
     undecided: Fraction
     q: int
     d: int
     max_depth: int
+    leaves: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def from_leaves(cls, leaves: dict, q: int, d: int, max_depth: int) -> "MeasureResult":
+        included = undecided = Fraction(0)
+        for (ins, und), mass in leaves.items():
+            if ins:
+                included += mass
+            elif und:
+                undecided += mass
+        return cls(included, undecided, q, d, max_depth, leaves)
+
+    def restrict(self, labels) -> "MeasureResult":
+        """The union over the atoms whose label lies in ``labels``: a leaf
+        counts as included when one of them is IN there, else as undecided
+        when one of them is undecided there."""
+        keep = frozenset(labels)
+        leaves: dict = {}
+        for (ins, und), mass in self.leaves.items():
+            key = (ins & keep, und & keep)
+            if key[0] or key[1]:
+                leaves[key] = leaves.get(key, 0) + mass
+        return MeasureResult.from_leaves(leaves, self.q, self.d, self.max_depth)
 
     @property
     def certified(self) -> bool:
@@ -149,39 +177,101 @@ class MeasureResult:
         return int(n)
 
 
-def measure_union(atoms: Sequence, domain: Ball, max_depth: int) -> MeasureResult:
+def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
+                  labels: Optional[Sequence] = None) -> MeasureResult:
     """Exact Haar measure of the union of the atoms' satisfaction sets.
 
     Each atom must provide status(cell, ctx) -> IN | OUT | UNKNOWN, where IN
     means every point of the cell satisfies the atom and OUT means no point
     does.  ``ctx`` is a fresh dict per cell, shared by the atoms for caching.
     Cells undecided at max_depth are tallied separately, never guessed.
+
+    ``labels`` (one per atom; by default all atoms share one) groups the
+    atoms.  A group is IN on a cell as soon as one of its atoms is, and its
+    other atoms are then evaluated neither there nor below; a cell is split
+    while some group has UNKNOWN atoms and no IN atom.  Each leaf is tallied
+    under its (labels IN, labels undecided), so one sweep yields the union
+    over every label set (``MeasureResult.restrict``).
     """
-    included = Fraction(0)
-    undecided = Fraction(0)
-    stack: list[tuple[Ball, tuple]] = [(domain, tuple(atoms))]
+    groups: dict = {}
+    for a, lab in zip(atoms, [None] * len(atoms) if labels is None else labels):
+        groups.setdefault(lab, []).append(a)
+    singles = {lab: frozenset((lab,)) for lab in groups}
+    none = frozenset()
+    counts: dict = {}  # (labels IN, labels undecided, radius_exp) -> leaf cells
+    stack = [(domain, none, tuple((lab, tuple(g)) for lab, g in groups.items()))]
     while stack:
-        cell, active = stack.pop()
+        cell, ins, live = stack.pop()
         ctx: dict = {}
         survivors = []
-        hit = False
-        for a in active:
-            s = a.status(cell, ctx)
-            if s == IN:
-                included += cell.measure()
-                hit = True
-                break
-            if s == UNKNOWN:
-                survivors.append(a)
-        if hit or not survivors:
-            continue
-        if cell.radius_exp >= max_depth:
-            undecided += cell.measure()
-            continue
-        kids = tuple(survivors)
-        for child in cell.subdivide():
-            stack.append((child, kids))
-    return MeasureResult(included, undecided, domain.spec.q, domain.d, max_depth)
+        for lab, group in live:
+            rest = []
+            for a in group:
+                s = a.status(cell, ctx)
+                if s == IN:
+                    ins = ins | singles[lab]
+                    break
+                if s == UNKNOWN:
+                    rest.append(a)
+            else:
+                if rest:
+                    survivors.append((lab, tuple(rest)))
+        if not survivors:
+            if ins:
+                key = (ins, none, cell.radius_exp)
+                counts[key] = counts.get(key, 0) + 1
+        elif cell.radius_exp < max_depth:
+            survivors = tuple(survivors)
+            for child in cell.subdivide():
+                stack.append((child, ins, survivors))
+        else:
+            key = (ins, frozenset(lab for lab, _ in survivors), cell.radius_exp)
+            counts[key] = counts.get(key, 0) + 1
+    leaves: dict = {}
+    for (ins, und, r), n in counts.items():
+        leaves[ins, und] = leaves.get((ins, und), 0) + n * Ball(domain.center, r).measure()
+    return MeasureResult.from_leaves(leaves, domain.spec.q, domain.d, max_depth)
+
+
+class VarTable:
+    """Variation bounds of one polynomial on subcells of a fixed domain.
+
+    table[w] bounds every weight-w coefficient of g recentered at any point
+    of the domain (a sup over the domain of the order-w difference
+    quotients, straight from the ultrametric coefficient bound).  The
+    variation of g on a subcell of radius exponent r is then
+    max_w table[w] - r*w, memoized per r.
+    """
+
+    __slots__ = ("table", "_memo")
+
+    def __init__(self, g: MPoly, domain: Ball):
+        rec = g.recenter(domain.center)
+        r0 = domain.radius_exp
+        table: dict[int, int] = {}
+        for mm, c in rec.terms.items():
+            wm = sum(mm)
+            e = c.abs_exp()
+            if e is None:
+                continue
+            for w in range(1, wm + 1):
+                b = e - r0 * (wm - w)
+                if w not in table or b > table[w]:
+                    table[w] = b
+        self.table = sorted(table.items())
+        self._memo: dict[int, Optional[int]] = {}
+
+    def var_exp(self, r: int) -> Optional[int]:
+        got = self._memo.get(r, "?")
+        if got != "?":
+            return got
+        best = None
+        for w, b in self.table:
+            e = b - r * w
+            if best is None or e > best:
+                best = e
+        self._memo[r] = best
+        return best
 
 
 class PolyAbsAtom:
@@ -191,65 +281,24 @@ class PolyAbsAtom:
     set has measure zero for nonzero g and the atom answers OUT on cells
     where the value dominates and UNKNOWN elsewhere.
 
-    The variation bound on subcells comes from a table of domain-wide
-    difference-quotient bounds, built lazily from the first (largest) cell
-    the engine presents; it is valid on all of that cell's descendants.
+    The variation bound on subcells comes from a VarTable built lazily over
+    the first (largest) cell the engine presents; it is valid on all of that
+    cell's descendants.
     """
 
-    __slots__ = ("g", "tau", "_table", "_memo")
+    __slots__ = ("g", "tau", "_table")
 
     def __init__(self, g: MPoly, tau: Optional[int]):
         self.g = g
         self.tau = tau
-        self._table = None
-        self._memo: dict[int, Optional[int]] = {}
-
-    def _var_exp(self, cell: Ball) -> Optional[int]:
-        if self._table is None:
-            rec = self.g.recenter(cell.center)
-            r0 = cell.radius_exp
-            table: dict[int, int] = {}
-            for mm, c in rec.terms.items():
-                wm = sum(mm)
-                e = c.abs_exp()
-                if e is None:
-                    continue
-                for w in range(1, wm + 1):
-                    b = e - r0 * (wm - w)
-                    if w not in table or b > table[w]:
-                        table[w] = b
-            self._table = sorted(table.items())
-        r = cell.radius_exp
-        got = self._memo.get(r, "?")
-        if got != "?":
-            return got
-        best = None
-        for w, b in self._table:
-            e = b - r * w
-            if best is None or e > best:
-                best = e
-        self._memo[r] = best
-        return best
+        self._table: Optional[VarTable] = None
 
     def status(self, cell: Ball, ctx: dict) -> int:
-        var = self._var_exp(cell)
+        if self._table is None:
+            self._table = VarTable(self.g, cell)
+        var = self._table.var_exp(cell.radius_exp)
         v_exp = self.g.eval(cell.center).abs_exp()
         return compare_abs_leq(v_exp, var, self.tau)
-
-
-def _nonconst_exp(rec: MPoly, r: int) -> Optional[int]:
-    best = None
-    for m, c in rec.terms.items():
-        w = sum(m)
-        if w == 0:
-            continue
-        e = c.abs_exp()
-        if e is None:
-            continue
-        e -= r * w
-        if best is None or e > best:
-            best = e
-    return best
 
 
 class TrueAtom:
@@ -278,30 +327,6 @@ class ConjAtom:
             if s != IN:
                 all_in = False
         return IN if all_in else UNKNOWN
-
-
-class FracAbsAtom:
-    """Atom dist(g(x), Lambda) <= q^tau, i.e. |{g(x)}| <= q^tau, on a cell.
-
-    Requires the variation bound on the cell to be < 1 before deciding, so
-    the polynomial part [g(x)] is constant on the cell and the fractional
-    part moves by at most the variation.
-    """
-
-    __slots__ = ("g", "tau")
-
-    def __init__(self, g: MPoly, tau: Optional[int]):
-        self.g = g
-        self.tau = tau
-
-    def status(self, cell: Ball, ctx: dict) -> int:
-        rec = self.g.recenter(cell.center)
-        m_exp = _nonconst_exp(rec, cell.radius_exp)
-        if m_exp is not None and m_exp > -1:
-            return UNKNOWN
-        v = rec.terms.get((0,) * self.g.d)
-        w_exp = None if v is None else frac_exp(v)
-        return compare_abs_leq(w_exp, m_exp, self.tau)
 
 
 def frac_exp(v: Laurent) -> Optional[int]:
@@ -340,47 +365,6 @@ def compare_abs_leq(v_exp: Optional[int], var_exp: Optional[int], tau: Optional[
 # ---------------------------------------------------------------------------
 # sup norms
 # ---------------------------------------------------------------------------
-
-def sup_norm_on_ball(g: MPoly, ball: Ball, max_depth: Optional[int] = None) -> AbsValue:
-    """Exact sup of |g| over the ball (Haar-a.e. sup = max, attained).
-
-    Starts from the ultrametric coefficient bound and refines the cells
-    whose bound is not yet attained by an evaluated center.  Terminates
-    because center values stabilize while variation bounds decay with depth.
-    """
-    if g.is_zero:
-        return AbsValue.zero()
-    if max_depth is None:
-        max_depth = ball.radius_exp + 60
-    best: Optional[int] = None  # exponent of largest |g(center)| seen
-    # breadth-first: a whole level's center values feed the lower bound
-    # before any refinement, so a path where g vanishes identically (e.g. a
-    # diagonal in characteristic 2) cannot starve the termination criterion
-    level = [ball]
-    while level:
-        pending = []
-        for cell in level:
-            rec = g.recenter(cell.center)
-            v = rec.terms.get((0,) * g.d)
-            v_exp = v.abs_exp() if v is not None else None
-            if v_exp is not None and (best is None or v_exp > best):
-                best = v_exp
-            m_exp = _nonconst_exp(rec, cell.radius_exp)
-            bound = v_exp if m_exp is None else (
-                m_exp if v_exp is None else max(v_exp, m_exp)
-            )
-            if bound is not None:
-                pending.append((cell, bound))
-        nxt = []
-        for cell, bound in pending:
-            if best is not None and bound <= best:
-                continue
-            if cell.radius_exp >= max_depth:
-                raise PrecisionError("sup-norm refinement exceeded the depth budget")
-            nxt.extend(cell.subdivide())
-        level = nxt
-    return AbsValue.zero() if best is None else AbsValue(best)
-
 
 def sup_norm_family(gs: Sequence[MPoly], ball: Ball) -> AbsValue:
     """sup over the ball of max_i |g_i|."""
@@ -423,6 +407,23 @@ class SublevelReport:
         }
 
 
+def _sublevel_depth(g: MPoly, ball: Ball, tau: int, resolution: Optional[int],
+                    max_depth: Optional[int]) -> int:
+    """Default refinement depth resolution + 4 (resolution defaulting to the
+    ball's radius exponent + 4), deepened with the coefficient size so that
+    decisions, which need the variation below the threshold, are
+    scaling-invariant."""
+    if max_depth is not None:
+        return max_depth
+    if resolution is None:
+        resolution = ball.radius_exp + 4
+    depth = resolution + 4
+    bound = g.sup_bound_exp(ball)
+    if bound is not None and bound > tau:
+        depth = max(depth, ball.radius_exp + (bound - tau) + 1)
+    return depth
+
+
 def sublevel_measure(
     g: MPoly,
     ball: Ball,
@@ -433,28 +434,19 @@ def sublevel_measure(
     """Measure of {x in B : |g(x)| < q^eps_exp}, exact via cell certification.
 
     The strict threshold normalizes to |g(x)| <= q^strict_below(eps_exp) on
-    the discrete value group.  Default refinement depth is resolution + 4.
+    the discrete value group.
     """
     eps_exp = Fraction(eps_exp)
-    if resolution is None:
-        resolution = ball.radius_exp + 4
     tau = strict_below(eps_exp)
-    if max_depth is None:
-        max_depth = resolution + 4
-        # decisions need the variation below the threshold: scale the depth
-        # with the coefficient size so certification is scaling-invariant
-        bound = g.sup_bound_exp(ball)
-        if bound is not None and bound > tau:
-            max_depth = max(max_depth, ball.radius_exp + (bound - tau) + 1)
-    res = measure_union([PolyAbsAtom(g, tau)], ball, max_depth)
-    sup = sup_norm_on_ball(g, ball)
+    depth = _sublevel_depth(g, ball, tau, resolution, max_depth)
+    res = measure_union([PolyAbsAtom(g, tau)], ball, depth)
     return SublevelReport(
         ball=ball,
         eps_exp=eps_exp,
-        sup=sup,
+        sup=sup_norm_on_ball(g, ball),
         measure=res.included,
         undecided=res.undecided,
-        resolution=max_depth,
+        resolution=depth,
         certified=res.certified,
     )
 
@@ -468,6 +460,30 @@ class GoodnessCertificate:
     sup: AbsValue
     rows: list = field(default_factory=list)  # (eps_exp, measure, ratio QExp)
     certified: bool = True
+
+
+def _certify(ball: Ball, alpha, sup: AbsValue, eps_exps: Sequence, sweep) -> GoodnessCertificate:
+    """The ratio loop: max over eps of measure * (sup/eps)^alpha / |B|, where
+    sweep(tau) measures the sublevel set at tau = strict_below(eps_exp)."""
+    if sup.is_zero:
+        raise ValueError("goodness of the zero function is undefined")
+    q = ball.spec.q
+    alpha = Fraction(alpha)
+    ball_measure = ball.measure()
+    best = QExp.zero(q)
+    rows = []
+    certified = True
+    for e in eps_exps:
+        e = Fraction(e)
+        res = sweep(strict_below(e))
+        certified = certified and res.certified
+        ratio = QExp.from_fraction(q, res.included / ball_measure)
+        if res.included:
+            ratio = ratio * QExp.qpow(q, (Fraction(sup.exp) - e) * alpha)
+        rows.append((e, res.included, ratio))
+        if ratio > best:
+            best = ratio
+    return GoodnessCertificate(alpha=alpha, C=best, sup=sup, rows=rows, certified=certified)
 
 
 def certify_good(
@@ -484,26 +500,22 @@ def certify_good(
     exact.  Epsilon values above the sup norm contribute ratio measure/|B|
     <= 1 and are admitted (the definition is vacuous there).
     """
-    q = ball.spec.q
-    alpha = Fraction(alpha)
-    sup = sup_norm_on_ball(g, ball)
-    if sup.is_zero:
-        raise ValueError("goodness of the zero function is undefined")
-    ball_measure = ball.measure()
-    best = QExp.zero(q)
-    rows = []
-    certified = True
-    for e in eps_exps:
-        e = Fraction(e)
-        rep = sublevel_measure(g, ball, e, resolution=resolution, max_depth=max_depth)
-        certified = certified and rep.certified
-        ratio = QExp.from_fraction(q, rep.measure / ball_measure)
-        if rep.measure:
-            ratio = ratio * QExp.qpow(q, (Fraction(sup.exp) - e) * alpha)
-        rows.append((e, rep.measure, ratio))
-        if ratio > best:
-            best = ratio
-    return GoodnessCertificate(alpha=alpha, C=best, sup=sup, rows=rows, certified=certified)
+    def sweep(tau):
+        depth = _sublevel_depth(g, ball, tau, resolution, max_depth)
+        return measure_union([PolyAbsAtom(g, tau)], ball, depth)
+
+    return _certify(ball, alpha, sup_norm_on_ball(g, ball), eps_exps, sweep)
+
+
+def certify_good_max(
+    polys: Sequence[MPoly], ball: Ball, alpha, eps_exps: Sequence
+) -> GoodnessCertificate:
+    """Goodness certificate for x -> max_i |g_i(x)| (sup of a finite family)."""
+    def sweep(tau):
+        atom = ConjAtom([PolyAbsAtom(g, tau) for g in polys])
+        return measure_union([atom], ball, ball.radius_exp + 8)
+
+    return _certify(ball, alpha, sup_norm_family(polys, ball), eps_exps, sweep)
 
 
 def good_bound_holds(
@@ -520,18 +532,6 @@ def good_bound_holds(
     rhs = C * QExp.qpow(q, (Fraction(eps_exp) - Fraction(sup_exp)) * alpha)
     rhs = rhs * QExp.from_fraction(q, ball_measure)
     return lhs <= rhs
-
-
-def check_orthonormal(vectors: Sequence[Sequence[Laurent]]) -> bool:
-    """True iff ||v_1|| = ... = ||v_k|| = ||v_1 ^ ... ^ v_k|| = 1."""
-    from .latdyn import sup_norm_vec, wedge_vectors
-
-    for v in vectors:
-        e = sup_norm_vec(v)
-        if e is None or e != 0:
-            return False
-    w = wedge_vectors(vectors)
-    return w.sup_exp() == 0
 
 
 def disjoint_subcover(balls: Sequence[Ball]) -> list[Ball]:

@@ -18,15 +18,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+from .dioph import SweepData, WitnessAtom
 from .errors import PrecisionError
-from .ffield import AbsValue, Ball, FieldSpec, Laurent, Poly, strict_below
-from .goodfn import (
-    GoodnessCertificate,
-    MeasureResult,
-    QExp,
-    measure_union,
-    sup_norm_family,
+from .ffield import (
+    AbsValue,
+    Ball,
+    FieldSpec,
+    GridSpec,
+    Laurent,
+    Poly,
+    enumerate_box,
+    enumerate_polys,
+    strict_below,
 )
+from .goodfn import MeasureResult, QExp, TrueAtom, certify_good_max, measure_union
 from .ultracalc import AnalyticMap, MPoly
 
 Vec = tuple[Laurent, ...]
@@ -106,27 +111,28 @@ class LaurentMatrix:
 
     def det(self) -> Laurent:
         """Exact determinant by cofactor expansion (matrices here are tiny)."""
-        m = self.nrows
-        if m != self.ncols:
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if m == 1:
-            return self.rows[0][0]
-        spec = self.spec
-        acc = Laurent.zero(spec)
-        sub_rows = self.rows[1:]
-        for j in range(m):
-            a = self.rows[0][j]
-            if not a.terms and a.exact:
-                continue
-            minor = LaurentMatrix(tuple(
-                tuple(r[i] for i in range(m) if i != j) for r in sub_rows
-            ))
-            term = a * minor.det()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
+        return cofactor_det(self.rows, Laurent.zero(self.spec))
 
     def to_json(self) -> list[list[str]]:
         return [[str(z) for z in row] for row in self.rows]
+
+
+def cofactor_det(rows: Sequence[Sequence], zero):
+    """Determinant by cofactor expansion along the first row, over any ring
+    whose elements have is_zero (exactly zero entries are skipped)."""
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    acc = zero
+    for j, a in enumerate(rows[0]):
+        if a.is_zero:
+            continue
+        minor = [[r[i] for i in range(k) if i != j] for r in rows[1:]]
+        term = a * cofactor_det(minor, zero)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
 
 def fq_dependence(spec: FieldSpec, vecs: Sequence[Sequence[int]]) -> Optional[list[int]]:
@@ -363,6 +369,15 @@ def wedge_vectors(vectors: Sequence[Sequence[Laurent]]) -> WedgeVector:
     return acc
 
 
+def check_orthonormal(vectors: Sequence[Sequence[Laurent]]) -> bool:
+    """True iff ||v_1|| = ... = ||v_k|| = ||v_1 ^ ... ^ v_k|| = 1."""
+    for v in vectors:
+        e = sup_norm_vec(v)
+        if e is None or e != 0:
+            return False
+    return wedge_vectors(vectors).sup_exp() == 0
+
+
 # ---------------------------------------------------------------------------
 # the dynamical encoding: Gamma, U_x, ceil(eps), D
 # ---------------------------------------------------------------------------
@@ -577,26 +592,11 @@ def _minors_gcd(cols: Sequence[Sequence[Poly]], k: int) -> Poly:
     g = Poly.zero(spec)
     for rows in itertools.combinations(range(nrows), k):
         sub = [[cols[j][r] for r in rows] for j in range(k)]
-        det = _poly_det(sub, spec)
+        det = cofactor_det(sub, Poly.zero(spec))
         g = poly_gcd(g, det)
         if g.deg == 0 and not g.is_zero:
             return g.monic()
     return g
-
-
-def _poly_det(cols: Sequence[Sequence[Poly]], spec: FieldSpec) -> Poly:
-    k = len(cols)
-    if k == 1:
-        return cols[0][0]
-    acc = Poly.zero(spec)
-    for i in range(k):
-        a = cols[0][i]
-        if a.is_zero:
-            continue
-        minor = [[cols[j][r] for r in range(k) if r != i] for j in range(1, k)]
-        term = a * _poly_det(minor, spec)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
 
 
 def is_primitive(cols: Sequence[Sequence[Poly]]) -> bool:
@@ -612,8 +612,6 @@ def primitive_submodules(
     """All primitive submodules of Gamma with canonical bases of entry degree
     <= height, each exactly once (the canonical form is unique)."""
     nrows = n + 1
-    from .ffield import enumerate_polys
-
     all_polys = list(enumerate_polys(spec, height))
     monic = [p for p in all_polys if not p.is_zero and p.coeffs[-1] == 1]
     for rank in range(1, min(max_rank, nrows) + 1):
@@ -723,23 +721,8 @@ def h_delta_components(
         if sum(1 for i in subset if i in starred) >= 2:
             continue
         mat = [[imgs[a][i] for i in subset] for a in range(delta.rank)]
-        comps.append(_mpoly_det(mat, spec, d))
+        comps.append(cofactor_det(mat, MPoly.zero(spec, d)))
     return [c for c in comps if not c.is_zero]
-
-
-def _mpoly_det(cols: Sequence[Sequence[MPoly]], spec: FieldSpec, d: int) -> MPoly:
-    k = len(cols)
-    if k == 1:
-        return cols[0][0]
-    acc = MPoly.zero(spec, d)
-    for i in range(k):
-        a = cols[0][i]
-        if a.is_zero:
-            continue
-        minor = [[cols[j][r] for r in range(k) if r != i] for j in range(1, k)]
-        term = a * _mpoly_det(minor, spec, d)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
 
 
 @dataclass
@@ -765,8 +748,6 @@ def check_ABC(
 ) -> ABCReport:
     """Certify (A) goodness, (B) finiteness at samples, (C) sup >= rho for all
     primitive submodules of Gamma up to the height bound."""
-    from .ffield import GridSpec
-
     spec = m.spec
     deltas = list(primitive_submodules(spec, m.n, m.n + 1, height))
     goodness = []
@@ -776,11 +757,10 @@ def check_ABC(
     for delta in deltas:
         comps = h_delta_components(m, D, delta)
         comp_cache.append(comps)
-        sup = sup_norm_family(comps, V)
-        if sup.is_zero:
+        if not comps:
             raise ValueError("h(x)Delta vanishes identically: degenerate instance")
-        sup_exps.append(int(sup.exp))
         cert = certify_good_max(comps, V, alpha, eps_exps)
+        sup_exps.append(int(cert.sup.exp))
         certified = certified and cert.certified
         goodness.append((delta.rank, cert.C))
     rho_exp = min(sup_exps)
@@ -806,36 +786,6 @@ def check_ABC(
     )
 
 
-def certify_good_max(
-    polys: Sequence[MPoly], ball: Ball, alpha, eps_exps: Sequence
-) -> GoodnessCertificate:
-    """Goodness certificate for x -> max_i |g_i(x)| (sup of a finite family)."""
-    q = ball.spec.q
-    alpha = Fraction(alpha)
-    sup = sup_norm_family(polys, ball)
-    if sup.is_zero:
-        raise ValueError("goodness of the zero family is undefined")
-    ball_measure = ball.measure()
-    best = QExp.zero(q)
-    rows = []
-    certified = True
-    for e in eps_exps:
-        e = Fraction(e)
-        tau = strict_below(e)
-        from .goodfn import PolyAbsAtom, ConjAtom
-
-        atom = ConjAtom([PolyAbsAtom(g, tau) for g in polys])
-        res = measure_union([atom], ball, ball.radius_exp + 8)
-        certified = certified and res.certified
-        ratio = QExp.from_fraction(q, res.included / ball_measure)
-        if res.included:
-            ratio = ratio * QExp.qpow(q, (Fraction(sup.exp) - e) * alpha)
-        rows.append((e, res.included, ratio))
-        if ratio > best:
-            best = ratio
-    return GoodnessCertificate(alpha=alpha, C=best, sup=sup, rows=rows, certified=certified)
-
-
 # ---------------------------------------------------------------------------
 # qn bound probe
 # ---------------------------------------------------------------------------
@@ -848,10 +798,6 @@ def qn_short_vector_atoms(
     Scaling out D turns the membership into finitely many coordinate boxes:
     |f.a~ + a~0| < eps|a0|, ||grad(f.a~)|| < eps|a_*|, |a~_i| < eps|a_i|.
     """
-    from .dioph import SweepData, WitnessAtom
-    from .goodfn import TrueAtom
-    from .ffield import enumerate_box
-
     spec = m.spec
     eps_exp = Fraction(eps_exp)
     tau0 = strict_below(eps_exp + D.a0_exp)

@@ -20,17 +20,18 @@ from .errors import PrecisionError
 from .ffield import (
     AbsValue,
     Ball,
-    FieldSpec,
     GridSpec,
     Laurent,
     Poly,
+    enumerate_box,
+    enumerate_polys,
     shell_count,
     strict_below,
 )
 from .goodfn import IN, OUT, UNKNOWN, measure_union
-from .dioph import ApproxFn, MapCellData, Witness, in_phi_f_point
+from .dioph import ApproxFn, MapCellData, SweepData, Witness, in_phi_f_point
 from .latdyn import LaurentMatrix, reduce_lattice, short_vectors
-from .ultracalc import AnalyticMap, MPoly
+from .ultracalc import AnalyticMap, MPoly, variation_exp
 
 # ---------------------------------------------------------------------------
 # ultrametric Newton
@@ -194,7 +195,7 @@ def _gate_cell(partials: Sequence[MPoly], cell: Ball) -> int:
         rec = p.recenter(cell.center)
         v = rec.terms.get((0,) * p.d)
         v_exp = v.abs_exp() if v is not None else None
-        var = _rec_var_exp(rec, cell.radius_exp)
+        var = variation_exp(rec, cell.radius_exp)
         if var is not None and (v_exp is None or v_exp <= var):
             return UNKNOWN
         vals.append(v_exp)
@@ -206,21 +207,6 @@ def _gate_cell(partials: Sequence[MPoly], cell: Ball) -> int:
     if d1 is None:
         return OUT
     return IN if d1 >= top - 1 else OUT
-
-
-def _rec_var_exp(rec: MPoly, r: int) -> Optional[int]:
-    best = None
-    for mm, c in rec.terms.items():
-        w = sum(mm)
-        if w == 0:
-            continue
-        e = c.abs_exp()
-        if e is None:
-            continue
-        e -= r * w
-        if best is None or e > best:
-            best = e
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +469,9 @@ def construct_resonant_witness(
     res = dist_to_resonant(x, g)
     rho = params.rho_exp(t)
     b3 = res.dist < AbsValue(rho)
-    audit["d1_exp"] = g_d1_at = _abs_exp_or_none(
-        _sum_d1(m, g, x)
-    )
-    audit["value_exp"] = _abs_exp_or_none(g.with_theta().eval(x))
+    gt = g.with_theta()
+    audit["d1_exp"] = gt.partial(0).eval(x).abs_exp()
+    audit["value_exp"] = gt.eval(x).abs_exp()
     return WitnessConstruction(
         g=g,
         short_basis=basis,
@@ -502,14 +487,6 @@ def construct_resonant_witness(
         rho_exp=rho,
         audit=audit,
     )
-
-
-def _sum_d1(m: AnalyticMap, g: ResonantFn, x) -> Laurent:
-    return g.with_theta().partial(0).eval(x)
-
-
-def _abs_exp_or_none(z: Laurent) -> Optional[int]:
-    return z.abs_exp()
 
 
 def _solve_laurent(rows, rhs, floor_deg: int) -> list[Laurent]:
@@ -551,8 +528,6 @@ def enumerate_family(
     count = (spec.q ** (ha + 1)) ** n * spec.q ** (h0 + 1)
     if count > budget:
         return None
-    from .ffield import enumerate_box
-
     out = []
     for a in enumerate_box(spec, [ha] * n):
         if all(p.is_zero for p in a):
@@ -560,15 +535,9 @@ def enumerate_family(
         beta = params.k0_exp + max(p.deg for p in a if not p.is_zero)
         if beta > t:
             continue
-        for a0 in _box_polys(spec, h0):
+        for a0 in enumerate_polys(spec, h0):
             out.append(ResonantFn(m=m, a0=a0, a=tuple(a)))
     return out
-
-
-def _box_polys(spec: FieldSpec, h: int):
-    from .ffield import enumerate_polys
-
-    return enumerate_polys(spec, h)
 
 
 @dataclass
@@ -624,7 +593,8 @@ def covering_fraction(
             if in_phi_f_point(m, x, t, delta_exp):
                 continue
             try:
-                con = construct_resonant_witness(m, x, t, delta_exp, params)
+                con = construct_resonant_witness(m, x, t, delta_exp, params,
+                                                 check_phi=False)
             except ValueError:
                 continue
             key = (con.g.a0, con.g.a)
@@ -632,8 +602,6 @@ def covering_fraction(
                 seen.add(key)
                 family.append(con.g)
     tau = strict_below(Fraction(rho))
-    from .dioph import SweepData
-
     sd = SweepData(m, B)
     atoms = []
     for g in family:
@@ -679,13 +647,9 @@ def lambda_phi_hits(
     """Measure of {x : dist(x, R_g) < phi(beta_g) for some g with beta_g <= q^T},
     with phi(r) = k0 r^-1 psi(k0^-1 r); every sampled hit is re-verified as a
     (Psi, theta)-witness through the mean-value chain."""
-    spec = m.spec
     family = enumerate_family(m, params, T, budget=budget)
-    partial = family is None
     if family is None:
         raise ValueError("family too large; lower T or raise the budget")
-    from .dioph import SweepData
-
     dom = grid.resolved_domain
     gate_dom = dom if dom.radius_exp >= 2 else cell_containing(dom.center, 2)
     sd = SweepData(m, dom)
@@ -707,7 +671,6 @@ def lambda_phi_hits(
             continue
         atoms.append(ResonantDistAtom(g, tau, sd))
         per_g.append((g, tau))
-    dom = grid.resolved_domain
     depth = max_depth if max_depth is not None else grid.N + 6
     res = measure_union(atoms, dom, depth)
     hits = []
@@ -729,7 +692,7 @@ def lambda_phi_hits(
         measure=res.included,
         undecided=res.undecided,
         hits=hits,
-        partial=partial,
+        partial=False,
         all_hits_verified=verified,
     )
 

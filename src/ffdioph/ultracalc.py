@@ -11,9 +11,9 @@ refinement reserved for the cancellation cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, PrecisionError
 from .ffield import AbsValue, Ball, FieldSpec, Laurent, Poly
 
 MultiIndex = tuple[int, ...]
@@ -233,23 +233,6 @@ class MPoly:
                 best = e
         return best
 
-    def nonconst_bound_exp(self, ball: Ball) -> Optional[int]:
-        """Bound exponent for sup_B |g(x) - g(center)| (variation on the ball)."""
-        g = self.recenter(ball.center)
-        r = ball.radius_exp
-        best = None
-        for m, c in g.terms.items():
-            w = weight(m)
-            if w == 0:
-                continue
-            e = c.abs_exp()
-            if e is None:
-                continue
-            e -= r * w
-            if best is None or e > best:
-                best = e
-        return best
-
     def second_diff_bound_exp(self, ball: Ball) -> Optional[int]:
         """Bound exponent for sup over all second difference quotients
         |bar Phi_beta g| (|beta| = 2) with all arguments in the ball."""
@@ -279,6 +262,64 @@ class MPoly:
             cs = str(c).split(" (")[0]
             parts.append(f"({cs})*{mono}" if mono else f"({cs})")
         return "MPoly(" + " + ".join(parts) + ")"
+
+
+def variation_exp(rec: MPoly, r: int) -> Optional[int]:
+    """Bound exponent for |g(x) - g(c)| on the ball of radius q^-r about c,
+    where rec is g recentered at c; None when g is constant."""
+    best = None
+    for m, c in rec.terms.items():
+        w = weight(m)
+        if w == 0:
+            continue
+        e = c.abs_exp()
+        if e is None:
+            continue
+        e -= r * w
+        if best is None or e > best:
+            best = e
+    return best
+
+
+def sup_norm_on_ball(g: MPoly, ball: Ball, max_depth: Optional[int] = None) -> AbsValue:
+    """Exact sup of |g| over the ball (Haar-a.e. sup = max, attained).
+
+    Starts from the ultrametric coefficient bound and refines the cells
+    whose bound is not yet attained by an evaluated center.  Terminates
+    because center values stabilize while variation bounds decay with depth.
+    """
+    if g.is_zero:
+        return AbsValue.zero()
+    if max_depth is None:
+        max_depth = ball.radius_exp + 60
+    best: Optional[int] = None  # exponent of largest |g(center)| seen
+    # breadth-first: a whole level's center values feed the lower bound
+    # before any refinement, so a path where g vanishes identically (e.g. a
+    # diagonal in characteristic 2) cannot starve the termination criterion
+    level = [ball]
+    while level:
+        pending = []
+        for cell in level:
+            rec = g.recenter(cell.center)
+            v = rec.terms.get((0,) * g.d)
+            v_exp = v.abs_exp() if v is not None else None
+            if v_exp is not None and (best is None or v_exp > best):
+                best = v_exp
+            m_exp = variation_exp(rec, cell.radius_exp)
+            bound = v_exp if m_exp is None else (
+                m_exp if v_exp is None else max(v_exp, m_exp)
+            )
+            if bound is not None:
+                pending.append((cell, bound))
+        nxt = []
+        for cell, bound in pending:
+            if best is not None and bound <= best:
+                continue
+            if cell.radius_exp >= max_depth:
+                raise PrecisionError("sup-norm refinement exceeded the depth budget")
+            nxt.extend(cell.subdivide())
+        level = nxt
+    return AbsValue.zero() if best is None else AbsValue(best)
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +512,6 @@ class AnalyticMap:
         return tuple(g.partial(j).eval(x) for j in range(self.d))
 
 
-def grad_sup_exp(values: Iterable[Laurent]) -> Optional[int]:
-    """||v|| = max |v_j| as an exponent, None when all components vanish."""
-    best = None
-    for v in values:
-        e = v.abs_exp()
-        if e is not None and (best is None or e > best):
-            best = e
-    return best
-
-
 def veronese(spec: FieldSpec, n: int, domain: Optional[Ball] = None,
              theta: Optional[MPoly] = None) -> AnalyticMap:
     """The Veronese curve x -> (x, x^2, ..., x^n) with d = 1."""
@@ -553,8 +584,6 @@ def _sup_exceeds(g: MPoly, ball: Ball, limit_exp: int) -> bool:
     bound = g.sup_bound_exp(ball)
     if bound is None or bound <= limit_exp:
         return False
-    from .goodfn import sup_norm_on_ball  # local import to avoid a cycle
-
     return sup_norm_on_ball(g, ball) > AbsValue(limit_exp)
 
 

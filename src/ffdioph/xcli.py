@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import re
@@ -25,9 +26,10 @@ from .dioph import (
     ApproxFn,
     borel_cantelli_sum,
     find_witness,
-    measure_bigA,
-    measure_W,
     in_phi_f_point,
+    measure_bigA,
+    measure_phi_f,
+    measure_W,
 )
 from .errors import PrecisionError
 from .ffield import (
@@ -35,9 +37,9 @@ from .ffield import (
     FieldSpec,
     GridSpec,
     Laurent,
-    Poly,
     parse_laurent,
     parse_terms,
+    shell_count,
 )
 from .goodfn import certify_good, sublevel_measure
 from .latdyn import (
@@ -158,8 +160,7 @@ def load_map_file(path: Path) -> AnalyticMap:
         if not _:
             key, _, val = line.partition("=")
         kv[key.strip()] = val.strip()
-    q = int(kv["field"])
-    spec = FieldSpec(q)
+    spec = FieldSpec.from_order(int(kv["field"]))
     d = int(kv.get("d", "1"))
     n = int(kv["n"])
     comps = tuple(parse_mpoly(kv[f"f{i}"], spec, d) for i in range(1, n + 1))
@@ -264,16 +265,10 @@ def run_khintchine(
             "shellMeasure": str(shell.measure),
             "shellUndecided": str(shell.undecided),
         })
-    # tail measures: union over [T0, t1] for increasing T0 (endpoints reuse
-    # the full sweep and the top shell)
+    # tail measures: union over [T0, t1] for increasing T0
     tails = []
     for T0 in range(t0, t1 + 1):
-        if T0 == t0:
-            u = sweep.union
-        elif T0 == t1:
-            u = sweep.per_shell[t1]
-        else:
-            u = measure_W(m, psi, theta_on, T0, t1, grid).union
+        u = sweep.interval(T0, t1)
         tail_sum = sum(bc.shells[T0:], Fraction(0))
         tails.append({
             "T0": T0,
@@ -284,12 +279,7 @@ def run_khintchine(
     # cumulative hit fractions for increasing T1 (divergence diagnostics)
     cums = []
     for T1 in range(t0, t1 + 1):
-        if T1 == t1:
-            u = sweep.union
-        elif T1 == t0:
-            u = sweep.per_shell[t0]
-        else:
-            u = measure_W(m, psi, theta_on, t0, T1, grid).union
+        u = sweep.interval(t0, T1)
         cums.append({
             "T1": T1,
             "hitMeasure": str(u.measure),
@@ -344,10 +334,8 @@ def run_biggrad(
 ) -> ExperimentReport:
     """delta-sweep of the big-gradient set measure; verdict: the exact
     ratios |A_delta| / (delta |U|) stay below one recorded constant."""
-    import itertools as it
-
     grid = GridSpec(m.spec, m.d, grid_N, m.resolved_domain)
-    tvecs = [tv for tv in it.product(range(tmax + 1), repeat=m.n)]
+    tvecs = list(itertools.product(range(tmax + 1), repeat=m.n))
     rows = []
     ratios = []
     certified = True
@@ -438,8 +426,6 @@ def run_ubiquity(
     q = m.spec.q
     params = UbiquityParams.from_delta(delta_exp, m.n, m.d)
     B = Ball.unit(m.spec, m.d, max(2, m.resolved_domain.radius_exp))
-    from ffdioph.dioph import measure_phi_f
-
     rows = []
     audits = []
     cover_ok = True
@@ -451,7 +437,7 @@ def run_ubiquity(
             x = cell.center
             if in_phi_f_point(m, x, t, delta_exp):
                 continue
-            con = construct_resonant_witness(m, x, t, delta_exp, params)
+            con = construct_resonant_witness(m, x, t, delta_exp, params, check_phi=False)
             all_b = all_b and con.all_ok
             if witness is None:
                 witness = {
@@ -515,8 +501,6 @@ def check_budget(m: AnalyticMap, grid_N: int, shells=None, force: bool = False) 
             f"grid has q^(dN) = {cells} > {MAX_CELLS} cells; pass --force to override"
         )
     if shells:
-        from .ffield import shell_count
-
         total = sum(shell_count(m.spec.q, m.n, t) for t in shells)
         if total > MAX_SHELL:
             raise ValueError(
@@ -638,7 +622,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "measure":
-        spec = FieldSpec(args.field)
+        spec = FieldSpec.from_order(args.field)
         g = parse_mpoly(args.poly, spec, args.d)
         ball = Ball.unit(spec, args.d, args.radius_exp)
         if args.action == "sublevel":
@@ -709,7 +693,7 @@ def _dispatch(args) -> int:
         return 0 if rep.all_pass else 2
 
     if args.cmd == "lattice":
-        spec = FieldSpec(args.field)
+        spec = FieldSpec.from_order(args.field)
         rows = json.loads(Path(args.matrix).read_text())
         mat = LaurentMatrix.from_rows(
             [[parse_laurent(z, spec) for z in row] for row in rows]

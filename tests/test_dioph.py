@@ -185,6 +185,28 @@ def test_w_matches_naive_oracle():
         assert rep.certified and rep.union.measure == oracle
 
 
+def test_w_intervals_of_one_sweep_match_naive_oracle():
+    # one sweep labelled by shell gives the union over every sub-range
+    theta = MPoly.const(F3, 1, Laurent(F3, [(-1, 2), (-2, 1), (-4, 1)]))
+    shifted = AnalyticMap(F3, 1, 2, VER.components, theta=theta, domain=VER.domain)
+    line = AnalyticMap(F2, 1, 1, (MPoly.var(F2, 1, 0),))
+    cases = [
+        (VER, ApproxFn.shell_table([0, -3, -3]), False, GridSpec(F3, 1, 4), 7),
+        (shifted, ApproxFn.shell_table([0, -2, -3]), True, GridSpec(F3, 1, 4), 7),
+        (line, ApproxFn.power_law(2), False, GridSpec(F2, 1, 5), 10),
+    ]
+    for m, psi, theta_on, grid, depth in cases:
+        sweep = measure_W(m, psi, theta_on, 1, 2, grid)
+        seen = set()
+        for lo, hi in ((1, 1), (1, 2), (2, 2)):
+            got = sweep.interval(lo, hi)
+            want = naive_W_measure(m, psi, theta_on, lo, hi, grid, depth=depth)
+            assert got.certified and got.measure == want
+            seen.add(want)
+        assert len(seen) > 1  # the intervals are told apart
+        assert sweep.per_shell[2].measure == sweep.interval(2, 2).measure
+
+
 def test_w_subadditive_and_monotone():
     g = GridSpec(F3, 1, 4)
     psi_small = ApproxFn.power_law(4)

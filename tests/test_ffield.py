@@ -76,6 +76,17 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 2, (1, 0, 1))  # t^2 + 1 = (t+1)^2 over F_2
 
 
+def test_field_from_order():
+    assert FieldSpec.from_order(3) == F3
+    assert FieldSpec.from_order(4) == FieldSpec(2, 2, (1, 1, 1))
+    # t^3 + t + 1 precedes t^3 + t^2 + 1; t^2 + 1 is reducible over F_3
+    assert FieldSpec.from_order(8).modulus == (1, 1, 0, 1)
+    assert FieldSpec.from_order(9).modulus == (1, 0, 1)
+    for bad in (0, 1, 6, 12):
+        with pytest.raises(ValueError):
+            FieldSpec.from_order(bad)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -105,6 +116,32 @@ def test_divmod_random_roundtrip():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.deg < b.deg
+
+
+def test_poly_ops_match_field_ops():
+    # Poly's prime-field integer shortcuts against coefficientwise FieldSpec
+    # arithmetic; F_4 goes through the general branch
+    rng = random.Random(11)
+    F4 = FieldSpec(2, 2, modulus=(1, 1, 1))
+    for _ in range(200):
+        K = rng.choice([F2, F3, F5, F4])
+        a = [rng.randrange(K.q) for _ in range(rng.randrange(0, 6))]
+        b = [rng.randrange(K.q) for _ in range(rng.randrange(0, 6))]
+        n = max(len(a), len(b))
+        pad = lambda cs: cs + [0] * (n - len(cs))
+        total = [K.add(x, y) for x, y in zip(pad(a), pad(b))]
+        prod = [0] * max(0, len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = K.add(prod[i + j], K.mul(x, y))
+        A, B = Poly(K, a), Poly(K, b)
+        assert A + B == Poly(K, total)
+        assert -B == Poly(K, [K.neg(y) for y in b])
+        assert A * B == Poly(K, prod)
+        if not B.is_zero:
+            q, r = divmod(A, B)
+            assert q * B + r == A
+            assert r.is_zero or r.deg < B.deg
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +380,20 @@ def test_format_roundtrip():
     assert parse_laurent(format_laurent(z)) == z
     w = Laurent(F3, [(0, 2), (-2, 1)], prec=-3)
     assert parse_laurent(format_laurent(w)) == w
+
+
+def test_format_roundtrip_f4():
+    F4 = FieldSpec(2, 2, (1, 1, 1))
+    rng = random.Random(4)
+    for _ in range(200):
+        degs = rng.sample(range(-6, 4), rng.randint(1, 5))
+        z = Laurent(F4, [(d, rng.randrange(1, 4)) for d in degs])
+        if rng.random() < 0.5:
+            z = z.truncate(min(degs) - rng.randint(0, 3))
+        text = format_laurent(z)
+        assert "(mod 4," in text
+        assert parse_laurent(text) == z
+        assert parse_laurent(text, F4) == z
 
 
 def test_parse_poly():

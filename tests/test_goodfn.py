@@ -10,13 +10,13 @@ from ffdioph.goodfn import (
     PolyAbsAtom,
     QExp,
     certify_good,
-    check_orthonormal,
     disjoint_subcover,
     good_bound_holds,
     measure_union,
     sublevel_measure,
     sup_norm_on_ball,
 )
+from ffdioph.latdyn import check_orthonormal
 from ffdioph.ultracalc import MPoly
 
 F2 = FieldSpec(2)
@@ -299,3 +299,19 @@ def test_measure_union_or_semantics():
     a2 = PolyAbsAtom(shifted, -2)
     res = measure_union([a1, a2], ball, 6)
     assert res.certified and res.included == Fraction(2, 9)
+
+
+def test_labelled_sweep_reads_every_subunion():
+    # b's set sits inside a's, so cells IN for a stay live for b
+    x = MPoly.var(F3, 1, 0)
+    c = MPoly.const(F3, 1, Laurent.X(F3, -2))
+    atoms = [PolyAbsAtom(x, -1), PolyAbsAtom(x - c, -3), PolyAbsAtom(x * x, -3)]
+    labels = ["a", "b", "a"]
+    full = measure_union(atoms, O3, 6, labels)
+    plain = measure_union(atoms, O3, 6)
+    assert (full.included, full.undecided) == (plain.included, plain.undecided)
+    for keep in (["a"], ["b"], ["a", "b"], []):
+        alone = measure_union([a for a, lab in zip(atoms, labels) if lab in keep], O3, 6)
+        got = full.restrict(keep)
+        assert (got.included, got.undecided) == (alone.included, alone.undecided)
+    assert full.restrict(["a", "b"]).restrict(["b"]).included == full.restrict(["b"]).included

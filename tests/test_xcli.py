@@ -7,7 +7,7 @@ import pytest
 
 from ffdioph.dioph import ApproxFn
 from ffdioph.ffield import Ball, FieldSpec, Laurent
-from ffdioph.ultracalc import MPoly, veronese
+from ffdioph.ultracalc import AnalyticMap, MPoly, veronese
 from ffdioph.xcli import (
     load_map_file,
     main,
@@ -214,3 +214,21 @@ def test_budget_guard(veronese_map, capsys):
     ])
     assert rc == 1
     assert "force" in capsys.readouterr().err
+
+
+def test_khintchine_cli_over_f4_matches_api(tmp_path):
+    path = tmp_path / "line4.map"
+    path.write_text("field: 4\nd: 1\nn: 1\nf1: x1\ntheta: 0\ndomain_radius_exp: 1\n")
+    out = tmp_path / "rep"
+    argv = ["khintchine", "--map", str(path), "--psi", "q^(-3*t)",
+            "--shells", "1:1", "--grid", "3", "--out", str(out)]
+    assert main(argv) == 0
+    F4 = FieldSpec(2, 2, modulus=(1, 1, 1))
+    line = AnalyticMap(F4, 1, 1, (MPoly.var(F4, 1, 0),))
+    rep = run_khintchine(line, parse_psi("q^(-3*t)"), 3, 1, 1)
+    got = json.loads((out / "khintchine.json").read_text())
+    assert got["summary"] == rep.summary and got["verdicts"] == rep.verdicts
+    lines = (out / "khintchine_shells.csv").read_text().splitlines()
+    row = rep.tables["shells"][0]
+    assert lines[1] == ",".join(str(row[k]) for k in row)
+    assert Fraction(row["shellMeasure"]) > 0
