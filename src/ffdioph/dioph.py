@@ -34,12 +34,11 @@ from .goodfn import (
     UNKNOWN,
     MeasureResult,
     TrueAtom,
-    VarTable,
     compare_abs_leq,
     frac_exp,
     measure_union,
 )
-from .ultracalc import AnalyticMap
+from .ultracalc import AnalyticMap, VarTable
 
 # ---------------------------------------------------------------------------
 # approximating functions
@@ -233,84 +232,70 @@ def borel_cantelli_sum(psi: ApproxFn, q: int, n: int, T: int) -> BCSum:
 # ---------------------------------------------------------------------------
 
 class SweepData:
-    """Per-sweep evaluation helpers for one map: the component polynomials,
-    their partials, and variation tables over the sweep domain."""
+    """Per-sweep data for one map.  Row 0 is f_1..f_n and theta (zero when
+    the map has none), row 1+j their partials d_j; every polynomial has a
+    VarTable over the sweep domain."""
 
-    __slots__ = ("m", "fvt", "tvt", "pvt", "ptvt", "partials", "tpartials")
+    __slots__ = ("m", "rows", "tables")
 
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
         dom = domain if domain is not None else m.resolved_domain
-        th = m.theta_or_zero
-        self.fvt = [VarTable(f, dom) for f in m.components]
-        self.tvt = VarTable(th, dom)
-        self.partials = [[f.partial(j) for f in m.components] for j in range(m.d)]
-        self.tpartials = [th.partial(j) for j in range(m.d)]
-        self.pvt = [[VarTable(p, dom) for p in row] for row in self.partials]
-        self.ptvt = [VarTable(p, dom) for p in self.tpartials]
+        row0 = list(m.components) + [m.theta_or_zero]
+        self.rows = [row0] + [[g.partial(j) for g in row0] for j in range(m.d)]
+        self.tables = [[VarTable(g, dom) for g in row] for row in self.rows]
 
 
 class MapCellData:
     """Per-cell cache shared by all atoms of a sweep over one map.
 
-    Holds f_i / theta / partial values at the cell center (Horner, shared
-    power cache), certified variation bounds at the cell radius, and
-    memoized products a_i * f_i(center).
+    A row's values at the cell center and its variation bounds at the cell
+    radius are evaluated the first time an atom asks for the row; products
+    a_i * value are memoized per (row, i, a_i).
     """
 
-    __slots__ = ("fvals", "fvars", "tval", "tvar", "pvals", "pvars",
-                 "ptvals", "ptvars", "vprod", "gprod")
+    __slots__ = ("sd", "cell", "vals", "vars", "prod")
 
     def __init__(self, sd: SweepData, cell: Ball):
-        m = sd.m
-        center = cell.center
-        r = cell.radius_exp
-        self.fvals = [f.eval(center) for f in m.components]
-        self.fvars = [vt.var_exp(r) for vt in sd.fvt]
-        self.tval = m.theta_or_zero.eval(center)
-        self.tvar = sd.tvt.var_exp(r)
-        self.pvals = [[p.eval(center) for p in row] for row in sd.partials]
-        self.pvars = [[vt.var_exp(r) for vt in row] for row in sd.pvt]
-        self.ptvals = [p.eval(center) for p in sd.tpartials]
-        self.ptvars = [vt.var_exp(r) for vt in sd.ptvt]
-        self.vprod: dict = {}
-        self.gprod: dict = {}
+        self.sd = sd
+        self.cell = cell
+        self.vals: list = [None] * len(sd.rows)
+        self.vars: list = [None] * len(sd.rows)
+        self.prod: dict = {}
 
-    def combo_value(self, a: Sequence[Poly], with_theta: bool) -> tuple[Laurent, Optional[int]]:
-        """(value at center, variation bound exponent) of a.f (+ theta)."""
-        spec = self.fvals[0].spec if self.fvals else self.tval.spec
-        acc = self.tval if with_theta else Laurent.zero(spec)
-        var = self.tvar if with_theta else None
+    @classmethod
+    def of(cls, sd: SweepData, cell: Ball, ctx: dict) -> "MapCellData":
+        """The cell's data, made on the first request of the cell's sweep."""
+        data = ctx.get("mapcell")
+        if data is None:
+            data = ctx["mapcell"] = cls(sd, cell)
+        return data
+
+    def combo(self, a: Sequence[Poly], row: int, with_theta: bool) -> tuple[Laurent, Optional[int]]:
+        """(value at the center, variation bound exponent) of a . row, plus
+        the row's theta entry when with_theta."""
+        vals = self.vals[row]
+        if vals is None:
+            center, r = self.cell.center, self.cell.radius_exp
+            vals = self.vals[row] = [g.eval(center) for g in self.sd.rows[row]]
+            self.vars[row] = [vt.var_exp(r) for vt in self.sd.tables[row]]
+        vars_ = self.vars[row]
+        if with_theta:
+            acc, var = vals[-1], vars_[-1]
+        else:
+            acc, var = Laurent.zero(self.sd.m.spec), None
+        prod = self.prod
         for i, ai in enumerate(a):
             if ai.is_zero:
                 continue
-            key = (i, ai)
-            p = self.vprod.get(key)
+            key = (row, i, ai)
+            p = prod.get(key)
             if p is None:
-                p = ai.to_laurent() * self.fvals[i]
-                self.vprod[key] = p
+                p = prod[key] = ai.to_laurent() * vals[i]
             acc = acc + p
-            if self.fvars[i] is not None:
-                e = ai.deg + self.fvars[i]
-                if var is None or e > var:
-                    var = e
-        return acc, var
-
-    def combo_grad(self, a: Sequence[Poly], j: int, with_theta: bool) -> tuple[Laurent, Optional[int]]:
-        spec = self.tval.spec
-        acc = self.ptvals[j] if with_theta else Laurent.zero(spec)
-        var = self.ptvars[j] if with_theta else None
-        for i, ai in enumerate(a):
-            if ai.is_zero:
-                continue
-            key = (j, i, ai)
-            p = self.gprod.get(key)
-            if p is None:
-                p = ai.to_laurent() * self.pvals[j][i]
-                self.gprod[key] = p
-            acc = acc + p
-            if self.pvars[j][i] is not None:
-                e = ai.deg + self.pvars[j][i]
+            vi = vars_[i]
+            if vi is not None:
+                e = ai.deg + vi
                 if var is None or e > var:
                     var = e
         return acc, var
@@ -338,33 +323,25 @@ class WitnessAtom:
         self.grad_lower = None if grad_lower is None else Fraction(grad_lower)
         self.grad_upper_tau = grad_upper_tau
 
-    def _data(self, cell: Ball, ctx: dict) -> MapCellData:
-        data = ctx.get("mapcell")
-        if data is None:
-            data = MapCellData(self.sd, cell)
-            ctx["mapcell"] = data
-        return data
-
     def status(self, cell: Ball, ctx: dict) -> int:
-        data = self._data(cell, ctx)
-        v, var = data.combo_value(self.a, self.value_theta)
+        data = MapCellData.of(self.sd, cell, ctx)
+        v, var = data.combo(self.a, 0, self.value_theta)
         s = _frac_status(v, var, self.tau)
         if s == OUT:
             return OUT
         overall = s
         if self.grad_lower is not None or self.grad_upper_tau is not None:
-            gs = self._grad_status(data, cell)
+            gs = self._grad_status(data)
             if gs == OUT:
                 return OUT
             if gs == UNKNOWN:
                 overall = UNKNOWN
         return overall
 
-    def _grad_status(self, data: MapCellData, cell: Ball) -> int:
-        d = self.sd.m.d
+    def _grad_status(self, data: MapCellData) -> int:
         comps = []
-        for j in range(d):
-            gv, gvar = data.combo_grad(self.a, j, self.grad_theta)
+        for j in range(self.sd.m.d):
+            gv, gvar = data.combo(self.a, 1 + j, self.grad_theta)
             comps.append((gv.abs_exp(), gvar))
         out = IN
         if self.grad_lower is not None:

@@ -480,13 +480,6 @@ class Poly:
             return self
         return self.scale(self.spec.inv(self.coeffs[-1]))
 
-    def eval_laurent(self, x: "Laurent") -> "Laurent":
-        """Evaluate at a Laurent point by Horner's rule."""
-        acc = Laurent.zero(self.spec)
-        for c in reversed(self.coeffs):
-            acc = acc * x + Laurent.const(self.spec, c)
-        return acc
-
     def to_laurent(self) -> "Laurent":
         if self._laur is None:
             self._laur = Laurent(
@@ -792,9 +785,6 @@ class Laurent:
             coeffs[d] = c
         return Poly(K, coeffs), Laurent(K, tail, self.prec)
 
-    def frac_part(self) -> "Laurent":
-        return self.poly_part()[1]
-
     def __repr__(self) -> str:
         return f"Laurent({str(self)!r})"
 
@@ -1010,9 +1000,6 @@ class GridSpec:
     def cell_count(self) -> int:
         r = self.resolved_domain.radius_exp
         return self.spec.q ** (self.d * (self.N - r))
-
-    def cell_measure(self) -> Fraction:
-        return Fraction(1, self.spec.q ** (self.d * self.N))
 
     def cells(self) -> Iterator[Ball]:
         """All cells, deterministic order: per-coordinate digit counters,

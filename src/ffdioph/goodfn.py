@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import PrecisionError
 from .ffield import AbsValue, Ball, Laurent, strict_below
-from .ultracalc import MPoly, sup_norm_on_ball
+from .ultracalc import MPoly, VarTable, sup_norm_on_ball
 
 IN, OUT, UNKNOWN = 1, 0, -1
 
@@ -233,47 +233,6 @@ def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
     return MeasureResult.from_leaves(leaves, domain.spec.q, domain.d, max_depth)
 
 
-class VarTable:
-    """Variation bounds of one polynomial on subcells of a fixed domain.
-
-    table[w] bounds every weight-w coefficient of g recentered at any point
-    of the domain (a sup over the domain of the order-w difference
-    quotients, straight from the ultrametric coefficient bound).  The
-    variation of g on a subcell of radius exponent r is then
-    max_w table[w] - r*w, memoized per r.
-    """
-
-    __slots__ = ("table", "_memo")
-
-    def __init__(self, g: MPoly, domain: Ball):
-        rec = g.recenter(domain.center)
-        r0 = domain.radius_exp
-        table: dict[int, int] = {}
-        for mm, c in rec.terms.items():
-            wm = sum(mm)
-            e = c.abs_exp()
-            if e is None:
-                continue
-            for w in range(1, wm + 1):
-                b = e - r0 * (wm - w)
-                if w not in table or b > table[w]:
-                    table[w] = b
-        self.table = sorted(table.items())
-        self._memo: dict[int, Optional[int]] = {}
-
-    def var_exp(self, r: int) -> Optional[int]:
-        got = self._memo.get(r, "?")
-        if got != "?":
-            return got
-        best = None
-        for w, b in self.table:
-            e = b - r * w
-            if best is None or e > best:
-                best = e
-        self._memo[r] = best
-        return best
-
-
 class PolyAbsAtom:
     """Atom |g(x)| <= q^tau on a cell, for a fixed polynomial g.
 
@@ -418,7 +377,7 @@ def _sublevel_depth(g: MPoly, ball: Ball, tau: int, resolution: Optional[int],
     if resolution is None:
         resolution = ball.radius_exp + 4
     depth = resolution + 4
-    bound = g.sup_bound_exp(ball)
+    bound = VarTable(g, ball).sup_exp
     if bound is not None and bound > tau:
         depth = max(depth, ball.radius_exp + (bound - tau) + 1)
     return depth

@@ -105,10 +105,6 @@ class LaurentMatrix:
             out.append(acc)
         return tuple(out)
 
-    def matmul(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        cols = [self.matvec(other.col(j)) for j in range(other.ncols)]
-        return LaurentMatrix.from_cols(cols)
-
     def det(self) -> Laurent:
         """Exact determinant by cofactor expansion (matrices here are tiny)."""
         if self.nrows != self.ncols:
@@ -411,18 +407,6 @@ def build_Ux(m: AnalyticMap, x: Sequence[Laurent]) -> LaurentMatrix:
         row[1 + d + j] = one
         rows.append(tuple(row))
     return LaurentMatrix(tuple(rows))
-
-
-def gamma_generators(spec: FieldSpec, d: int, n: int) -> list[Vec]:
-    """Generators e_0, e_1..e_n of Gamma inside F^(n+d+1)."""
-    size = n + d + 1
-    one, zero = Laurent.one(spec), Laurent.zero(spec)
-    gens = []
-    for slot in [0] + [1 + d + j for j in range(n)]:
-        v = [zero] * size
-        v[slot] = one
-        gens.append(tuple(v))
-    return gens
 
 
 def gamma_vector(spec: FieldSpec, d: int, a0: Poly, a: Sequence[Poly]) -> Vec:

@@ -31,7 +31,7 @@ from .ffield import (
 from .goodfn import IN, OUT, UNKNOWN, measure_union
 from .dioph import ApproxFn, MapCellData, SweepData, Witness, in_phi_f_point
 from .latdyn import LaurentMatrix, reduce_lattice, short_vectors
-from .ultracalc import AnalyticMap, MPoly, variation_exp
+from .ultracalc import AnalyticMap, MPoly, VarTable
 
 # ---------------------------------------------------------------------------
 # ultrametric Newton
@@ -97,9 +97,6 @@ class ResonantFn:
         if self.a0.is_zero and all(p.is_zero for p in self.a):
             raise ValueError("the zero tuple is not in F_n")
 
-    def func(self) -> MPoly:
-        return self.m.combo(self.a, a0=self.a0, with_theta=False)
-
     def with_theta(self) -> MPoly:
         return self.m.combo(self.a, a0=self.a0, with_theta=True)
 
@@ -152,9 +149,10 @@ class UbiquityParams:
         return self.k1_exp_resolved - t * (self.n + 1)
 
     def rho_decay_ok(self) -> bool:
-        """rho(q^{t+1}) < lambda rho(q^t) holds identically with
-        lambda = q^-(n+1) < 1 (symbolic check of the ubiquity hypothesis)."""
-        return self.n + 1 >= 1
+        """The ubiquity hypothesis rho(q^{t+1}) <= lambda rho(q^t) for some
+        lambda < 1.  rho_exp is affine in t, so its step at t = 0 is its step
+        everywhere; with lambda = q^-(n+1) the inequality holds with equality."""
+        return self.rho_exp(1) - self.rho_exp(0) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +190,9 @@ def resonant_gate(g: ResonantFn, U0: Ball, max_depth: Optional[int] = None) -> b
 def _gate_cell(partials: Sequence[MPoly], cell: Ball) -> int:
     vals = []
     for p in partials:
-        rec = p.recenter(cell.center)
-        v = rec.terms.get((0,) * p.d)
-        v_exp = v.abs_exp() if v is not None else None
-        var = variation_exp(rec, cell.radius_exp)
+        vt = VarTable(p, cell)
+        v_exp = vt.center_exp
+        var = vt.var_exp(cell.radius_exp)
         if var is not None and (v_exp is None or v_exp <= var):
             return UNKNOWN
         vals.append(v_exp)
@@ -254,41 +251,30 @@ class ResonantDistAtom:
     condition becomes a sublevel condition on G at threshold tau + |d1 G|.
     """
 
-    __slots__ = ("g", "tau", "sd", "sec_table")
+    __slots__ = ("g", "tau", "sd", "sec")
 
-    def __init__(self, g: ResonantFn, tau: int, sd):
+    def __init__(self, g: ResonantFn, tau: int, sd: SweepData):
         self.g = g
         self.tau = tau
         self.sd = sd
-        # weight-w coefficient bounds for G recentered anywhere in the domain
-        table: dict[int, int] = {}
-
-        def fold(vt, scale_exp):
-            for w, b in vt.table:
-                e = b + scale_exp
-                if w not in table or e > table[w]:
-                    table[w] = e
-
-        for ai, vt in zip(g.a, sd.fvt):
-            if not ai.is_zero:
-                fold(vt, ai.deg)
-        fold(sd.tvt, 0)
-        self.sec_table = sorted((w, b) for w, b in table.items() if w >= 2)
+        # weight >= 2 coefficient bounds for G recentered anywhere in the domain
+        tables = sd.tables[0]
+        parts = [(vt, ai.deg) for ai, vt in zip(g.a, tables) if not ai.is_zero]
+        self.sec = VarTable.fold(parts + [(tables[-1], 0)], min_weight=2)
 
     def status(self, cell: Ball, ctx: dict) -> int:
-        data = ctx.get("mapcell")
-        if data is None:
-            data = MapCellData(self.sd, cell)
-            ctx["mapcell"] = data
-        v, vvar = data.combo_value(self.g.a, with_theta=True)
+        data = MapCellData.of(self.sd, cell, ctx)
+        v, vvar = data.combo(self.g.a, 0, with_theta=True)
         v = v + self.g.a0.to_laurent()
-        g1, g1var = data.combo_grad(self.g.a, 0, with_theta=True)
+        g1, g1var = data.combo(self.g.a, 1, with_theta=True)
         g1_exp = g1.abs_exp()
         if g1_exp is None or (g1var is not None and g1_exp <= g1var):
             return UNKNOWN
         thr = self.tau + g1_exp
         v_exp = v.abs_exp()
-        sec = self._second_order_exp(cell, max(self.tau, -cell.radius_exp))
+        # the order >= 2 aggregate of G at joint displacement scale
+        # q^max(tau, -r) around any cell point
+        sec = self.sec.var_exp(min(-self.tau, cell.radius_exp))
         if v_exp is not None and (vvar is None or v_exp > vvar):
             # |G| is constant = q^v_exp on the cell
             if v_exp > thr:
@@ -304,17 +290,6 @@ class ResonantDistAtom:
             if (vvar is None or vvar <= thr) and (sec is None or sec < g1_exp - self.tau):
                 return IN
         return UNKNOWN
-
-    def _second_order_exp(self, cell: Ball, s_exp: int) -> Optional[int]:
-        """Bound on the order >= 2 aggregate of G around any cell point at
-        joint displacement scale q^max(s_exp, -r)."""
-        spread = max(s_exp, -cell.radius_exp)
-        best = None
-        for w, b in self.sec_table:
-            e = b + spread * w
-            if best is None or e > best:
-                best = e
-        return best
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,6 @@ class MPoly:
     def total_deg(self) -> Optional[int]:
         return max((weight(m) for m in self.terms), default=None)
 
-    def deg_in(self, j: int) -> int:
-        return max((m[j] for m in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MPoly)
@@ -212,45 +209,6 @@ class MPoly:
             acc[m] = c * spow(weight(m))
         return MPoly(self.spec, self.d, acc)
 
-    # -- ultrametric bounds ----------------------------------------------
-
-    def sup_bound_exp(self, ball: Ball) -> Optional[int]:
-        """Certified upper bound on sup_B |g|: exponent e with sup <= q^e.
-
-        None means g vanishes identically (sup = 0).  The bound is the
-        ultrametric coefficient bound after recentering at the ball center;
-        it is attained unless leading coefficients cancel.
-        """
-        g = self.recenter(ball.center)
-        r = ball.radius_exp
-        best = None
-        for m, c in g.terms.items():
-            e = c.abs_exp()
-            if e is None:
-                continue
-            e -= r * weight(m)
-            if best is None or e > best:
-                best = e
-        return best
-
-    def second_diff_bound_exp(self, ball: Ball) -> Optional[int]:
-        """Bound exponent for sup over all second difference quotients
-        |bar Phi_beta g| (|beta| = 2) with all arguments in the ball."""
-        g = self.recenter(ball.center)
-        r = ball.radius_exp
-        best = None
-        for m, c in g.terms.items():
-            w = weight(m)
-            if w < 2:
-                continue
-            e = c.abs_exp()
-            if e is None:
-                continue
-            e -= r * (w - 2)
-            if best is None or e > best:
-                best = e
-        return best
-
     def __repr__(self) -> str:
         if not self.terms:
             return "MPoly(0)"
@@ -264,21 +222,76 @@ class MPoly:
         return "MPoly(" + " + ".join(parts) + ")"
 
 
-def variation_exp(rec: MPoly, r: int) -> Optional[int]:
-    """Bound exponent for |g(x) - g(c)| on the ball of radius q^-r about c,
-    where rec is g recentered at c; None when g is constant."""
-    best = None
-    for m, c in rec.terms.items():
-        w = weight(m)
+class VarTable:
+    """Ultrametric coefficient bounds of one polynomial g on a ball B and on
+    every subcell of it.
+
+    On a ball of radius q^-r about c, |g(x) - g(c)| is at most the max over
+    monomials beta of |coefficient of g recentered at c| * q^(-r|beta|).
+    Recentering once at B's center bounds, for every weight w, the weight-w
+    coefficients of g recentered at any point of B (the order-w difference
+    quotients): weight_exp(w).  Weight 0 gives sup_exp, the bound on sup_B |g|
+    (None when g vanishes); center_exp is the exponent of |g(center of B)|;
+    var_exp(r) bounds the variation of g on any subcell of radius q^-r.
+    """
+
+    __slots__ = ("center_exp", "sup_exp", "table", "_memo")
+
+    def __init__(self, g: MPoly, domain: Ball):
+        rec = g.recenter(domain.center)
+        c0 = rec.terms.get((0,) * g.d)
+        self.center_exp = None if c0 is None else c0.abs_exp()
+        r0 = domain.radius_exp
+        bounds: dict[int, int] = {}
+        for mm, c in rec.terms.items():
+            wm = weight(mm)
+            e = c.abs_exp()
+            if e is None:
+                continue
+            for w in range(wm + 1):
+                b = e - r0 * (wm - w)
+                if w not in bounds or b > bounds[w]:
+                    bounds[w] = b
+        self._set(bounds)
+
+    def _set(self, bounds: dict[int, int]) -> None:
+        self.sup_exp = bounds.pop(0, None)
+        self.table = sorted(bounds.items())
+        self._memo: dict[int, Optional[int]] = {}
+
+    @classmethod
+    def fold(cls, parts: Sequence[tuple["VarTable", int]], min_weight: int) -> "VarTable":
+        """The table of the weight >= min_weight part of sum_k c_k g_k, from
+        (table of g_k, exponent of |c_k|) pairs; its center_exp is None."""
+        bounds: dict[int, int] = {}
+        for vt, shift in parts:
+            for w, b in vt.table:
+                if w >= min_weight and (w not in bounds or b + shift > bounds[w]):
+                    bounds[w] = b + shift
+        out = cls.__new__(cls)
+        out.center_exp = None
+        out._set(bounds)
+        return out
+
+    def weight_exp(self, w: int) -> Optional[int]:
+        """Bound exponent for the weight-w coefficients (None: all vanish)."""
         if w == 0:
-            continue
-        e = c.abs_exp()
-        if e is None:
-            continue
-        e -= r * w
-        if best is None or e > best:
-            best = e
-    return best
+            return self.sup_exp
+        return dict(self.table).get(w)
+
+    def var_exp(self, r: int) -> Optional[int]:
+        """Bound exponent for |g(x) - g(c)| on a subcell of radius q^-r about
+        c; None when g is constant."""
+        got = self._memo.get(r, "?")
+        if got != "?":
+            return got
+        best = None
+        for w, b in self.table:
+            e = b - r * w
+            if best is None or e > best:
+                best = e
+        self._memo[r] = best
+        return best
 
 
 def sup_norm_on_ball(g: MPoly, ball: Ball, max_depth: Optional[int] = None) -> AbsValue:
@@ -300,17 +313,12 @@ def sup_norm_on_ball(g: MPoly, ball: Ball, max_depth: Optional[int] = None) -> A
     while level:
         pending = []
         for cell in level:
-            rec = g.recenter(cell.center)
-            v = rec.terms.get((0,) * g.d)
-            v_exp = v.abs_exp() if v is not None else None
+            vt = VarTable(g, cell)
+            v_exp = vt.center_exp
             if v_exp is not None and (best is None or v_exp > best):
                 best = v_exp
-            m_exp = variation_exp(rec, cell.radius_exp)
-            bound = v_exp if m_exp is None else (
-                m_exp if v_exp is None else max(v_exp, m_exp)
-            )
-            if bound is not None:
-                pending.append((cell, bound))
+            if vt.sup_exp is not None:
+                pending.append((cell, vt.sup_exp))
         nxt = []
         for cell, bound in pending:
             if best is not None and bound <= best:
@@ -508,9 +516,6 @@ class AnalyticMap:
             acc = acc + self.theta
         return acc
 
-    def grad_eval(self, g: MPoly, x: Sequence[Laurent]) -> tuple[Laurent, ...]:
-        return tuple(g.partial(j).eval(x) for j in range(self.d))
-
 
 def veronese(spec: FieldSpec, n: int, domain: Optional[Ball] = None,
              theta: Optional[MPoly] = None) -> AnalyticMap:
@@ -579,9 +584,10 @@ def components_independent(m: AnalyticMap) -> bool:
     return _laurent_matrix_rank(rows) == m.n + 1
 
 
-def _sup_exceeds(g: MPoly, ball: Ball, limit_exp: int) -> bool:
-    """Does sup_B |g| exceed q^limit_exp?  Exact (bound, then refinement)."""
-    bound = g.sup_bound_exp(ball)
+def _sup_exceeds(g: MPoly, ball: Ball, limit_exp: int, vt: Optional[VarTable] = None) -> bool:
+    """Does sup_B |g| exceed q^limit_exp?  Exact (bound, then refinement);
+    vt is g's table on the ball when the caller already has it."""
+    bound = (vt if vt is not None else VarTable(g, ball)).sup_exp
     if bound is None or bound <= limit_exp:
         return False
     return sup_norm_on_ball(g, ball) > AbsValue(limit_exp)
@@ -605,14 +611,15 @@ def check_conditions(m: AnalyticMap, domain: Optional[Ball] = None) -> Condition
     grad_ok = True
     sec_ok = True
     for i, f in enumerate(m.components, start=1):
-        if _sup_exceeds(f, ball, 0):
+        vt = VarTable(f, ball)
+        if _sup_exceeds(f, ball, 0, vt):
             f_sup_ok = False
             violations.append(f"condition IV: ||f{i}|| > 1 on the domain")
         for j in range(m.d):
             if _sup_exceeds(f.partial(j), ball, 0):
                 grad_ok = False
                 violations.append(f"condition IV: |d_{j+1} f{i}| > 1 on the domain")
-        e = f.second_diff_bound_exp(ball)
+        e = vt.weight_exp(2)
         if e is not None and e > 0:
             sec_ok = False
             violations.append(f"condition IV: second difference of f{i} exceeds 1")
@@ -620,14 +627,15 @@ def check_conditions(m: AnalyticMap, domain: Optional[Ball] = None) -> Condition
     theta_ok = True
     th = m.theta
     if th is not None and not th.is_zero:
-        if _sup_exceeds(th, ball, 0):
+        vt = VarTable(th, ball)
+        if _sup_exceeds(th, ball, 0, vt):
             theta_ok = False
             violations.append("condition VI: |theta| > 1 on the domain")
         for j in range(m.d):
             if _sup_exceeds(th.partial(j), ball, 0):
                 theta_ok = False
                 violations.append(f"condition VI: |d_{j+1} theta| > 1 on the domain")
-        e = th.second_diff_bound_exp(ball)
+        e = vt.weight_exp(2)
         if e is not None and e > 0:
             theta_ok = False
             violations.append("condition VI: second difference of theta exceeds 1")

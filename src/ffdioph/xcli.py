@@ -513,6 +513,13 @@ def _parse_range(s: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
+def _parse_stepped(s: str) -> list[int]:
+    """'lo:hi' as the integers from lo to hi inclusive, in either direction."""
+    lo, hi = _parse_range(s)
+    step = -1 if hi < lo else 1
+    return list(range(lo, hi + step, step))
+
+
 def _parse_int_list(s: str) -> list[int]:
     return [int(x) for x in s.replace(",", " ").split()]
 
@@ -629,9 +636,7 @@ def _dispatch(args) -> int:
             rep = sublevel_measure(g, ball, Fraction(args.eps), resolution=args.grid)
             print(json.dumps(rep.to_json(), indent=2))
             return 0
-        lo, hi = _parse_range(args.eps_grid)
-        step = -1 if hi < lo else 1
-        grid = list(range(lo, hi + step, step))
+        grid = _parse_stepped(args.eps_grid)
         cert = certify_good(g, ball, Fraction(args.alpha), grid, resolution=args.grid)
         print(json.dumps({
             "alpha": str(cert.alpha),
@@ -658,11 +663,8 @@ def _dispatch(args) -> int:
     if args.cmd == "biggrad":
         m = load_map_file(args.map)
         check_budget(m, args.grid, range(args.tmax + 1), args.force)
-        lo, hi = _parse_range(args.deltas)
-        step = -1 if hi < lo else 1
-        deltas = list(range(lo, hi + step, step))
         rep = run_biggrad(
-            m, deltas, args.tmax, Fraction(args.eps), args.grid,
+            m, _parse_stepped(args.deltas), args.tmax, Fraction(args.eps), args.grid,
             config=_config_of(args),
         )
         rep.write(args.out)
@@ -671,11 +673,9 @@ def _dispatch(args) -> int:
     if args.cmd == "qn":
         m = load_map_file(args.map)
         check_budget(m, args.grid, None, args.force)
-        lo, hi = _parse_range(args.eps_grid)
-        step = -1 if hi < lo else 1
-        grid = list(range(lo, hi + step, step))
         rep = run_qn(
-            m, args.t, args.tprime, _parse_int_list(args.tvec), grid, args.grid,
+            m, args.t, args.tprime, _parse_int_list(args.tvec),
+            _parse_stepped(args.eps_grid), args.grid,
             config=_config_of(args),
         )
         rep.write(args.out)

@@ -21,6 +21,8 @@ from ffdioph.ffield import (
 from ffdioph.dioph import (
     ApproxFn,
     GRAD_EPS_DEFAULT,
+    SweepData,
+    WitnessAtom,
     best_a0,
     borel_cantelli_sum,
     classify_gradient,
@@ -36,6 +38,7 @@ from ffdioph.dioph import (
     phi_delta_exp,
     psi0_exp,
 )
+from ffdioph.goodfn import OUT
 from ffdioph.ultracalc import AnalyticMap, MPoly, veronese
 
 F2 = FieldSpec(2)
@@ -231,6 +234,23 @@ def test_w_theta_changes_the_set():
         if (w_hom is None) != (w_inh is None):
             diffs += 1
     assert diffs > 0  # the shift genuinely moves the approximable set
+
+
+def test_cell_data_fills_gradient_rows_only_on_request():
+    # d = 2: row 0 is f1, f2, theta; rows 1 and 2 their partials
+    x1, x2 = MPoly.var(F3, 2, 0), MPoly.var(F3, 2, 1)
+    m = AnalyticMap(F3, 2, 2, (x1, x1 * x2 + x2 * x2))
+    sd = SweepData(m)
+    a = (Poly.X(F3), Poly.one(F3))
+    filled = {}
+    for cell in GridSpec(F3, 2, 3).cells():
+        ctx = {}
+        s = WitnessAtom(sd, a, -3, value_theta=False).status(cell, ctx)
+        assert [v is not None for v in ctx["mapcell"].vals] == [True, False, False]
+        ctx = {}
+        WitnessAtom(sd, a, -3, value_theta=False, grad_lower=0).status(cell, ctx)
+        filled[s == OUT] = [v is not None for v in ctx["mapcell"].vals]
+    assert filled == {True: [True, False, False], False: [True, True, True]}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Module layout: package imports sit at module top, so the import graph
-of ffdioph stays acyclic by construction rather than by deferred imports."""
+of ffdioph stays acyclic by construction rather than by deferred imports,
+and every function, class and method the package defines is named somewhere
+else in the package or its tests."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ffdioph"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ffdioph"
 
 
 def _local_package_imports(tree: ast.AST) -> list[tuple[str, int]]:
@@ -33,3 +38,20 @@ def test_no_function_local_package_imports():
         offenders += [f"{path.name}:{line} in {name}()"
                       for name, line in _local_package_imports(tree)]
     assert not offenders, "function-local package imports: " + ", ".join(offenders)
+
+
+def test_every_defined_name_is_used():
+    defs: Counter = Counter()
+    where = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defs[name] += 1
+                    where.setdefault(name, f"{path.name}:{node.lineno}")
+    words: Counter = Counter()
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
+    unused = sorted(f"{where[n]} {n}" for n, k in defs.items() if words[n] <= k)
+    assert not unused, "defined but never named elsewhere: " + ", ".join(unused)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from ffdioph.ffield import AbsValue, FieldSpec, Laurent
+from ffdioph.ffield import AbsValue, Ball, FieldSpec, Laurent
 from ffdioph.ultracalc import (
     AnalyticMap,
     MPoly,
+    VarTable,
     check_conditions,
     components_independent,
     difference_quotient,
@@ -294,3 +295,54 @@ def test_ultrametric_mean_value_on_grid():
                 continue
             # grad and second-difference bounds are both <= 1 here
             assert diff <= AbsValue(0) * sep
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-bound table
+# ---------------------------------------------------------------------------
+
+def _coef_max(rec, r, min_w, shift=0):
+    """max over monomials of weight >= min_w of |c| q^(-r (w - shift)), as
+    an exponent, straight from the recentered terms."""
+    exps = [c.abs_exp() - r * (sum(m) - shift)
+            for m, c in rec.terms.items() if sum(m) >= min_w]
+    return max(exps, default=None)
+
+
+def _leq(e, bound):
+    return e is None or (bound is not None and e <= bound)
+
+
+def test_var_table_matches_recentered_formulas_and_bounds_subcells():
+    rng = random.Random(20261018)
+    F4 = FieldSpec(2, 2, (1, 1, 1))
+    for spec in (F2, F3, F4):
+        for _ in range(6):
+            d = rng.choice((1, 2))
+            g, h = rand_mpoly(spec, rng, d=d, deg=3), rand_mpoly(spec, rng, d=d, deg=3)
+            r0 = rng.randrange(4)
+            center = tuple(rand_point(spec, rng, lo=-4, hi=1) for _ in range(d))
+            B = Ball(center, r0)
+            vt, vh = VarTable(g, B), VarTable(h, B)
+            rec = g.recenter(center)
+            c0 = rec.terms.get((0,) * d)
+            assert vt.center_exp == (None if c0 is None else c0.abs_exp())
+            assert vt.sup_exp == _coef_max(rec, r0, 0)
+            assert vt.weight_exp(0) == vt.sup_exp
+            assert vt.var_exp(r0) == _coef_max(rec, r0, 1)
+            assert vt.weight_exp(2) == _coef_max(rec, r0, 2, shift=2)
+            # the weight >= 2 part of X^s1 g + X^s2 h, as ResonantDistAtom folds it
+            s1, s2 = rng.randrange(-1, 3), rng.randrange(-1, 3)
+            sec = VarTable.fold([(vt, s1), (vh, s2)], min_weight=2)
+            assert sec.center_exp is None and sec.sup_exp is None
+            G = g.scale(Laurent.X(spec, s1)) + h.scale(Laurent.X(spec, s2))
+            # soundness on subcells one and two levels down
+            level = [B]
+            for _ in range(2):
+                kids = [k for cell in level for k in cell.subdivide()]
+                level = rng.sample(kids, min(3, len(kids)))
+                for cell in level:
+                    r = cell.radius_exp
+                    assert _leq(_coef_max(g.recenter(cell.center), r, 1), vt.var_exp(r))
+                    assert _leq(g.eval(cell.center).abs_exp(), vt.sup_exp)
+                    assert _leq(_coef_max(G.recenter(cell.center), r, 2), sec.var_exp(r))
