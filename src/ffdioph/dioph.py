@@ -38,6 +38,7 @@ from .goodfn import (
     frac_exp,
     measure_union,
 )
+from .errors import PrecisionError
 from .ultracalc import AnalyticMap, VarTable
 
 # ---------------------------------------------------------------------------
@@ -231,12 +232,23 @@ def borel_cantelli_sum(psi: ApproxFn, q: int, n: int, T: int) -> BCSum:
 # cell-sweep atoms specialized to a.f + theta combos
 # ---------------------------------------------------------------------------
 
+# the exponent of |0| (a zero variation) and the knowledge horizon of an exact
+# value: below every integer, so comparisons need no None checks
+_NEG_INF = float("-inf")
+
+
 class SweepData:
     """Per-sweep data for one map.  Row 0 is f_1..f_n and theta (zero when
     the map has none), row 1+j their partials d_j; every polynomial has a
-    VarTable over the sweep domain."""
+    VarTable over the sweep domain.
 
-    __slots__ = ("m", "rows", "tables")
+    The witness atoms of the sweep register the parts of their values:
+    a_i * f_i for each nonzero a_i, and theta (part key (n, (1,))).  Each
+    registration widens the digit window, the fractional degrees the atoms'
+    value conditions read, until the first cell fixes it (``window``)."""
+
+    __slots__ = ("m", "rows", "tables", "part_ids", "parts", "floor", "jmax",
+                 "window")
 
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
@@ -244,6 +256,54 @@ class SweepData:
         row0 = list(m.components) + [m.theta_or_zero]
         self.rows = [row0] + [[g.partial(j) for g in row0] for j in range(m.d)]
         self.tables = [[VarTable(g, dom) for g in row] for row in self.rows]
+        self.part_ids: dict = {}   # (i, coefficients of a_i) -> part id
+        self.parts: list = []      # part id -> (i, deg a_i, ((j, e, alpha), ...))
+        self.floor = -1            # deepest fractional degree an atom reads
+        self.jmax = 0              # largest deg a_i of a part
+        self.window = None
+
+    def register(self, a: Sequence[Poly], tau: int, with_theta: bool) -> tuple[int, ...]:
+        """Part ids of the value a.f (+ theta) of an atom that reads its
+        fractional digits down to degree tau + 1."""
+        floor = min(self.floor, tau + 1)
+        jmax = max([self.jmax] + [ai.deg for ai in a if not ai.is_zero])
+        if self.window is not None and (floor, jmax) != (self.floor, self.jmax):
+            raise ValueError("the digit window is fixed once a cell is evaluated")
+        self.floor, self.jmax = floor, jmax
+        keys = [(i, ai.coeffs) for i, ai in enumerate(a) if not ai.is_zero]
+        if with_theta:
+            keys.append((self.m.n, (1,)))
+        p, b = self.m.spec.p, self.m.spec.b
+        ids = []
+        for i, coeffs in keys:
+            pid = self.part_ids.get((i, coeffs))
+            if pid is None:
+                # alpha_{j,e}: F_p coordinate e of the coefficient of X^j
+                terms = tuple((j, e, c // p**e % p) for j, c in enumerate(coeffs)
+                              for e in range(b) if c // p**e % p)
+                pid = self.part_ids[i, coeffs] = len(self.parts)
+                self.parts.append((i, len(coeffs) - 1, terms))
+            ids.append(pid)
+        return tuple(ids)
+
+    def fix_window(self) -> None:
+        """Set ``window`` = (slot bits s, digit bits s*b, slot mask, slot
+        table, lowest column degree) from the atoms registered so far; the
+        first cell of the sweep calls it, and later calls keep it.
+
+        A column packs the fractional digits of u^e * g(c), degree -1 in the
+        lowest b slots and coordinate r of the digit at degree k in slot
+        (-1-k)*b + r.  An atom's packed value sums theta's column and, per
+        part, alpha_{j,e} times its column shifted down j degrees, so a slot
+        holds at most (p-1) + n(jmax+1)b(p-1)^2: s bits never carry."""
+        if self.window is None:
+            K = self.m.spec
+            p, b = K.p, K.b
+            s = ((p - 1) + self.m.n * (self.jmax + 1) * b * (p - 1) ** 2).bit_length()
+            # slot[e][c]: the b packed F_p coordinates of u^e * c (u^e encodes as p^e)
+            slot = [[sum((K.mul(p**e, c) // p**r % p) << (s * r) for r in range(b))
+                     for c in K.elements()] for e in range(b)]
+            self.window = (s, s * b, (1 << s) - 1, slot, self.floor - self.jmax)
 
 
 class MapCellData:
@@ -251,10 +311,11 @@ class MapCellData:
 
     A row's values at the cell center and its variation bounds at the cell
     radius are evaluated the first time an atom asks for the row; products
-    a_i * value are memoized per (row, i, a_i).
+    a_i * value are memoized per (row, i, a_i).  Row 0 is also packed into
+    digit columns, and each part's packed product is memoized per part id.
     """
 
-    __slots__ = ("sd", "cell", "vals", "vars", "prod")
+    __slots__ = ("sd", "cell", "vals", "vars", "prod", "cols", "packed")
 
     def __init__(self, sd: SweepData, cell: Ball):
         self.sd = sd
@@ -262,6 +323,9 @@ class MapCellData:
         self.vals: list = [None] * len(sd.rows)
         self.vars: list = [None] * len(sd.rows)
         self.prod: dict = {}
+        self.cols: Optional[list] = None
+        self.packed: dict = {}
+        sd.fix_window()
 
     @classmethod
     def of(cls, sd: SweepData, cell: Ball, ctx: dict) -> "MapCellData":
@@ -271,14 +335,18 @@ class MapCellData:
             data = ctx["mapcell"] = cls(sd, cell)
         return data
 
-    def combo(self, a: Sequence[Poly], row: int, with_theta: bool) -> tuple[Laurent, Optional[int]]:
-        """(value at the center, variation bound exponent) of a . row, plus
-        the row's theta entry when with_theta."""
+    def _row(self, row: int) -> list:
         vals = self.vals[row]
         if vals is None:
             center, r = self.cell.center, self.cell.radius_exp
             vals = self.vals[row] = [g.eval(center) for g in self.sd.rows[row]]
             self.vars[row] = [vt.var_exp(r) for vt in self.sd.tables[row]]
+        return vals
+
+    def combo(self, a: Sequence[Poly], row: int, with_theta: bool) -> tuple[Laurent, Optional[int]]:
+        """(value at the center, variation bound exponent) of a . row, plus
+        the row's theta entry when with_theta."""
+        vals = self._row(row)
         vars_ = self.vars[row]
         if with_theta:
             acc, var = vals[-1], vars_[-1]
@@ -300,6 +368,39 @@ class MapCellData:
                     var = e
         return acc, var
 
+    def part(self, pid: int) -> tuple[int, float, float]:
+        """(packed digits, variation exponent, knowledge horizon) of the
+        part pid on the cell; an exponent of None reads -inf."""
+        got = self.packed.get(pid)
+        if got is None:
+            cols = self.cols if self.cols is not None else self._columns()
+            i, deg, terms = self.sd.parts[pid]
+            col, var, prec = cols[i]
+            sb = self.sd.window[1]
+            acc = 0
+            for j, e, alpha in terms:
+                acc += alpha * (col[e] >> sb * j)
+            got = self.packed[pid] = (acc, var + deg, prec + deg)
+        return got
+
+    def _columns(self) -> list:
+        _, sb, _, slot, lowest = self.sd.window
+        vals = self._row(0)
+        cols = []
+        for v, var in zip(vals, self.vars[0]):
+            col = [0] * len(slot)
+            for k, c in v.terms:
+                if k >= 0:
+                    continue
+                if k < lowest:
+                    break
+                for e, digit in enumerate(slot):
+                    col[e] += digit[c] << sb * (-1 - k)
+            cols.append((col, _NEG_INF if var is None else var,
+                         _NEG_INF if v.prec is None else v.prec))
+        self.cols = cols
+        return cols
+
 
 class WitnessAtom:
     """Cell condition: dist(a.f(x)+theta, Lambda) <= q^tau, optionally
@@ -311,7 +412,7 @@ class WitnessAtom:
     """
 
     __slots__ = ("sd", "a", "tau", "value_theta", "grad_theta",
-                 "grad_lower", "grad_upper_tau")
+                 "grad_lower", "grad_upper_tau", "parts")
 
     def __init__(self, sd: SweepData, a, tau: int, value_theta: bool,
                  grad_theta: bool = False, grad_lower=None, grad_upper_tau=None):
@@ -322,11 +423,11 @@ class WitnessAtom:
         self.grad_theta = grad_theta
         self.grad_lower = None if grad_lower is None else Fraction(grad_lower)
         self.grad_upper_tau = grad_upper_tau
+        self.parts = sd.register(self.a, tau, value_theta) if tau < -1 else ()
 
     def status(self, cell: Ball, ctx: dict) -> int:
         data = MapCellData.of(self.sd, cell, ctx)
-        v, var = data.combo(self.a, 0, self.value_theta)
-        s = _frac_status(v, var, self.tau)
+        s = self._value_status(data)
         if s == OUT:
             return OUT
         overall = s
@@ -337,6 +438,37 @@ class WitnessAtom:
             if gs == UNKNOWN:
                 overall = UNKNOWN
         return overall
+
+    def _value_status(self, data: MapCellData) -> int:
+        """Status of |{a.f + theta}| <= q^tau: the packed fractional digits
+        at degrees -1 down to max(tau, var) + 1, each b slots mod p."""
+        tau = self.tau
+        if tau >= -1:
+            return IN  # |{z}| <= 1/q always
+        packed = data.packed
+        val, var, prec = 0, _NEG_INF, _NEG_INF
+        for pid in self.parts:
+            pv, pvar, pprec = packed.get(pid) or data.part(pid)
+            val += pv
+            if pvar > var:
+                var = pvar
+            if pprec > prec:
+                prec = pprec
+        if var > -1:
+            return UNKNOWN
+        if prec > -1:
+            raise PrecisionError("window does not reach degree -1")
+        lo = tau if tau >= var else var  # digits at degrees <= lo decide nothing
+        known = lo if lo >= prec - 1 else prec - 1  # digits above known are in the window
+        s, _, mask, _, _ = self.sd.window
+        p, b = self.sd.m.spec.p, self.sd.m.spec.b
+        for _ in range((-1 - known) * b):
+            if (val & mask) % p:
+                return OUT
+            val >>= s
+        if known > lo:
+            raise PrecisionError("fractional part indistinguishable from 0")
+        return IN if var <= tau else UNKNOWN
 
     def _grad_status(self, data: MapCellData) -> int:
         comps = []
@@ -357,15 +489,6 @@ class WitnessAtom:
             if s == UNKNOWN:
                 out = UNKNOWN
         return out
-
-
-def _frac_status(v: Laurent, var_exp: Optional[int], tau: int) -> int:
-    if tau >= -1:
-        return IN  # |{z}| <= 1/q always
-    if var_exp is not None and var_exp > -1:
-        return UNKNOWN
-    w = frac_exp(v)
-    return compare_abs_leq(w, var_exp, tau)
 
 
 def _norm_geq_status(comps, lower: Fraction) -> int:

@@ -357,12 +357,6 @@ class Poly:
             enc //= spec.q
         return cls(spec, cs)
 
-    def encoding(self) -> int:
-        enc = 0
-        for c in reversed(self.coeffs):
-            enc = enc * self.spec.q + c
-        return enc
-
     # -- structure -------------------------------------------------------
 
     @property

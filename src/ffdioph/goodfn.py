@@ -165,10 +165,6 @@ class MeasureResult:
     def measure(self) -> Fraction:
         return self.included
 
-    @property
-    def upper(self) -> Fraction:
-        return self.included + self.undecided
-
     def cell_count(self, resolution: int) -> int:
         """Included mass as a count of resolution-cells (must be integral)."""
         n = self.included * self.q ** (self.d * resolution)

@@ -276,10 +276,6 @@ class WedgeVector:
         spec = v[0].spec
         return cls(spec, len(v), {(i,): z for i, z in enumerate(v) if not z.is_zero})
 
-    @classmethod
-    def scalar(cls, spec: FieldSpec, m: int, c: Laurent) -> "WedgeVector":
-        return cls(spec, m, {(): c})
-
     def wedge(self, other: "WedgeVector") -> "WedgeVector":
         out: dict[tuple[int, ...], Laurent] = {}
         for k1, c1 in self.data.items():
@@ -424,10 +420,6 @@ class CeilEps:
     tvec: tuple[int, ...]
     exp: int                  # ceil(eps) = X^exp
     eps_exp: Fraction         # eps = q^eps_exp
-
-    @property
-    def value_exp(self) -> int:
-        return self.exp
 
 
 def build_ceil_eps(t: int, t_prime: int, tvec: Sequence[int]) -> CeilEps:

@@ -278,16 +278,18 @@ class ResonantDistAtom:
         if v_exp is not None and (vvar is None or v_exp > vvar):
             # |G| is constant = q^v_exp on the cell
             if v_exp > thr:
-                # no root within q^tau of any x iff order >= 2 cannot fake one
-                if sec is None or sec <= v_exp:
+                # no root within q^tau of any x iff order >= 2 cannot fake
+                # one: a term as large as |G| could cancel it
+                if sec is None or sec < v_exp:
                     return OUT
                 return UNKNOWN
-            # a root lies within |G|/|d1 G| <= q^tau of every x (Hensel)
-            if sec is None or sec < g1_exp - self.tau:
+            # a root lies within |G|/|d1 G| <= q^tau of every x (Hensel),
+            # once the order >= 2 terms stay below |d1 G| q^tau there
+            if sec is None or sec < thr:
                 return IN
             return UNKNOWN
         if v_exp is None or v_exp <= thr:
-            if (vvar is None or vvar <= thr) and (sec is None or sec < g1_exp - self.tau):
+            if (vvar is None or vvar <= thr) and (sec is None or sec < thr):
                 return IN
         return UNKNOWN
 

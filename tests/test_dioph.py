@@ -21,6 +21,7 @@ from ffdioph.ffield import (
 from ffdioph.dioph import (
     ApproxFn,
     GRAD_EPS_DEFAULT,
+    MapCellData,
     SweepData,
     WitnessAtom,
     best_a0,
@@ -38,7 +39,8 @@ from ffdioph.dioph import (
     phi_delta_exp,
     psi0_exp,
 )
-from ffdioph.goodfn import OUT
+from ffdioph.errors import PrecisionError
+from ffdioph.goodfn import IN, OUT, UNKNOWN, compare_abs_leq, frac_exp
 from ffdioph.ultracalc import AnalyticMap, MPoly, veronese
 
 F2 = FieldSpec(2)
@@ -251,6 +253,119 @@ def test_cell_data_fills_gradient_rows_only_on_request():
         WitnessAtom(sd, a, -3, value_theta=False, grad_lower=0).status(cell, ctx)
         filled[s == OUT] = [v is not None for v in ctx["mapcell"].vals]
     assert filled == {True: [True, False, False], False: [True, True, True]}
+
+
+def _reference_value_status(data, atom, value=None):
+    """The value status from Laurent arithmetic: combo, frac_exp and
+    compare_abs_leq (``value`` replaces the center value of a.f + theta)."""
+    if atom.tau >= -1:
+        return IN
+    v, var = data.combo(atom.a, 0, atom.value_theta)
+    if var is not None and var > -1:
+        return UNKNOWN
+    return compare_abs_leq(frac_exp(v if value is None else value), var, atom.tau)
+
+
+def _outcome(status, *args):
+    try:
+        return status(*args)
+    except PrecisionError:
+        return "raises"
+
+
+def _random_mpoly(rng, spec, d):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple(rng.randint(0, 2) for _ in range(d))
+        degs = rng.sample(range(-3, 2), 2)
+        terms[mono] = Laurent(spec, [(k, rng.randrange(1, spec.q)) for k in degs])
+    return MPoly(spec, d, terms)
+
+
+def _random_a(rng, spec, n, t):
+    while True:
+        a = tuple(Poly(spec, [rng.randrange(spec.q) for _ in range(t + 1)])
+                  for _ in range(n))
+        if max((p.deg for p in a if not p.is_zero), default=None) == t:
+            return a
+
+
+def _random_cells(rng, dom, depth, paths):
+    cells = [dom]
+    for _ in range(paths):
+        cell = dom
+        for _ in range(depth):
+            cell = rng.choice(list(cell.subdivide()))
+            cells.append(cell)
+    return cells
+
+
+def test_packed_value_status_matches_laurent_status():
+    # every (atom, cell) pair of small seeded sweeps: atoms of several tau
+    # and shell degrees share one SweepData, so one digit window serves all
+    rng = random.Random(6)
+    seen = set()
+    for spec in (F2, F3, FieldSpec(5), FieldSpec.from_order(4)):
+        for d in (1, 2):
+            for with_theta in (False, True):
+                n = rng.randint(1, 2)
+                comps = tuple(_random_mpoly(rng, spec, d) for _ in range(n))
+                theta = _random_mpoly(rng, spec, d) if with_theta else None
+                m = AnalyticMap(spec, d, n, comps, theta)
+                sd = SweepData(m)
+                atoms = [WitnessAtom(sd, _random_a(rng, spec, n, t), tau,
+                                     value_theta=with_theta and rng.random() < 0.7)
+                         for t in (0, 1, 2) for tau in (-1, -2, -3, -5)]
+                atoms.append(WitnessAtom(sd, _random_a(rng, spec, n, 1), -3,
+                                         value_theta=with_theta, grad_lower=0))
+                for cell in _random_cells(rng, m.resolved_domain, 8, 3):
+                    data = MapCellData(sd, cell)
+                    for atom in atoms:
+                        got = atom._value_status(data)
+                        assert got == _reference_value_status(data, atom), (spec, cell, atom.a)
+                        seen.add(got)
+                with pytest.raises(ValueError):
+                    WitnessAtom(sd, atoms[0].a, -9, value_theta=False)
+    assert seen == {IN, OUT, UNKNOWN}
+
+
+def test_packed_value_status_precision_parity():
+    # theta and f_1 known only down to q^-4 and q^-6: the packed path raises
+    # only where the Laurent path raises.  It decides where every digit it
+    # reads is known and zero, which frac_exp reports as indistinguishable
+    # from 0; that decision holds for every completion below the window
+    x = MPoly.var(F2, 1, 0)
+    theta = MPoly.const(F2, 1, Laurent(F2, [(0, 1), (-2, 1)], -4))
+    f1 = x + MPoly.const(F2, 1, Laurent(F2, [(-3, 1)], -6))
+    m = AnalyticMap(F2, 1, 2, (f1, x * x), theta)
+    sd = SweepData(m)
+    rng = random.Random(7)
+    atoms = [WitnessAtom(sd, _random_a(rng, F2, 2, t), tau, value_theta=th)
+             for t in (0, 1, 2) for tau in (-2, -3, -4, -6) for th in (False, True)
+             for _ in range(3)]
+    # X^2 f_1 is 0 at x = X^-3 down to its window floor q^-4: reading
+    # degree -5 would take the unknown digit of f_1 at -7 for 0
+    atoms.append(WitnessAtom(sd, (Poly.X(F2, 2), Poly.zero(F2)), -6, value_theta=False))
+    cells = _random_cells(rng, m.resolved_domain, 8, 4)
+    cells += [Ball((Laurent.X(F2, -3),), r) for r in (6, 8)]
+    tally = {"both decide": 0, "both raise": 0, "only Laurent raises": 0}
+    for cell in cells:
+        data = MapCellData(sd, cell)
+        for atom in atoms:
+            got = _outcome(atom._value_status, data)
+            ref = _outcome(_reference_value_status, data, atom)
+            if ref != "raises":
+                assert got == ref
+                tally["both decide"] += 1
+            elif got == "raises":
+                tally["both raise"] += 1
+            else:
+                v, _ = data.combo(atom.a, 0, atom.value_theta)
+                for below in (0, 1):
+                    done = Laurent(F2, v.terms + ((v.prec - 1, below),))
+                    assert got == _reference_value_status(data, atom, done)
+                tally["only Laurent raises"] += 1
+    assert all(tally.values()), tally
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Module layout: package imports sit at module top, so the import graph
 of ffdioph stays acyclic by construction rather than by deferred imports,
-and every function, class and method the package defines is named somewhere
-else in the package or its tests."""
+and every function, class and method the package defines is referenced
+somewhere in the package or its tests."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -40,18 +39,30 @@ def test_no_function_local_package_imports():
     assert not offenders, "function-local package imports: " + ", ".join(offenders)
 
 
+def _referenced_names(tree: ast.AST) -> Counter:
+    """Names the code refers to: bare names, attributes and imported names
+    (docstrings, comments and string keys do not count)."""
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rpartition(".")[2]] += 1
+    return refs
+
+
 def test_every_defined_name_is_used():
-    defs: Counter = Counter()
     where = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    defs[name] += 1
                     where.setdefault(name, f"{path.name}:{node.lineno}")
-    words: Counter = Counter()
+    refs: Counter = Counter()
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
-        words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
-    unused = sorted(f"{where[n]} {n}" for n, k in defs.items() if words[n] <= k)
-    assert not unused, "defined but never named elsewhere: " + ", ".join(unused)
+        refs.update(_referenced_names(ast.parse(path.read_text(), filename=str(path))))
+    unused = sorted(f"{loc} {n}" for n, loc in where.items() if not refs[n])
+    assert not unused, "defined but never referenced: " + ", ".join(unused)

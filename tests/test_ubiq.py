@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from ffdioph.ffield import AbsValue, Ball, FieldSpec, GridSpec, Laurent, Poly
-from ffdioph.dioph import ApproxFn, in_phi_f_point
+from ffdioph.dioph import ApproxFn, SweepData, in_phi_f_point
+from ffdioph.goodfn import measure_union
 from ffdioph.ubiq import (
+    ResonantDistAtom,
     ResonantFn,
     UbiquityParams,
     cell_containing,
@@ -125,6 +127,29 @@ def test_dist_to_resonant_linear_case():
     res = dist_to_resonant(x, g)
     assert res.dist == (x[0] - c).abs_value()
     assert (res.root_point[0] - c).is_zero
+
+
+def test_dist_atom_sweep_brackets_the_exact_measure_with_quadratic_theta():
+    # G = x + X^k x^2 (f_1 = x, theta = X^k x^2) has the roots 0 and
+    # -X^-k, so dist(x, R_g) = min(|x|, |x + X^-k|) exactly; X^-2 + x + X^3 x^2
+    # has no root (its discriminant 1 - X is not a square).  Only theta has a
+    # weight >= 2 part: the atom must fold its table, and weigh it against
+    # |G| and |d1 G| q^tau, to stay sound
+    x = MPoly.var(F3, 1, 0)
+    cases = [(k, (x * x).scale(Laurent.X(F3, k))) for k in (1, 2, 3)]
+    cases.append((None, cases[-1][1] + MPoly.const(F3, 1, Laurent.X(F3, -2))))
+    decided = 0
+    for k, theta in cases:
+        m = AnalyticMap(F3, 1, 1, (x,), theta)
+        g = ResonantFn(m=m, a0=Poly.zero(F3), a=(Poly.one(F3),))
+        B = m.resolved_domain
+        for tau in range(-1, -6, -1):
+            res = measure_union([ResonantDistAtom(g, tau, SweepData(m, B))], B, 8)
+            # two balls of radius q^tau, one when they meet
+            exact = 0 if k is None else min(B.measure(), Fraction(2 if tau < -k else 1, 3**-tau))
+            assert res.included <= exact <= res.included + res.undecided, (k, tau)
+            decided += res.undecided < B.measure() / 3
+    assert decided >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,19 @@ def test_khintchine_cli_over_f4_matches_api(tmp_path):
     row = rep.tables["shells"][0]
     assert lines[1] == ",".join(str(row[k]) for k in row)
     assert Fraction(row["shellMeasure"]) > 0
+
+
+def test_khintchine_over_f4_beyond_one_shell():
+    # the expected measures come from the independent digit walk
+    # bench/brute.py::line_W_measure over F_4 (tests/oracles.py's
+    # naive_W_measure takes about 9 s for shell 2 alone over F_4)
+    F4 = FieldSpec(2, 2, modulus=(1, 1, 1))
+    line = AnalyticMap(F4, 1, 1, (MPoly.var(F4, 1, 0),))
+    rep = run_khintchine(line, parse_psi("q^(-3*t)"), 3, 1, 3)
+    shells = {r["t"]: (Fraction(r["shellMeasure"]), Fraction(r["shellUndecided"]))
+              for r in rep.tables["shells"]}
+    assert shells == {1: (Fraction(13, 1024), 0), 2: (Fraction(205, 262144), 0),
+                      3: (Fraction(3277, 67108864), 0)}
+    tail = rep.tables["tails"][0]
+    assert tail["T0"] == 1 and Fraction(tail["tailMeasure"]) == Fraction(883, 65536)
+    assert all(r["certified"] for r in rep.tables["tails"])
