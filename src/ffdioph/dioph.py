@@ -12,6 +12,7 @@ strict in the paper's sense and normalize to the next lower power of q.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -34,7 +35,6 @@ from .goodfn import (
     UNKNOWN,
     MeasureResult,
     TrueAtom,
-    compare_abs_leq,
     frac_exp,
     measure_union,
 )
@@ -242,13 +242,17 @@ class SweepData:
     the map has none), row 1+j their partials d_j; every polynomial has a
     VarTable over the sweep domain.
 
-    The witness atoms of the sweep register the parts of their values:
-    a_i * f_i for each nonzero a_i, and theta (part key (n, (1,))).  Each
-    registration widens the digit window, the fractional degrees the atoms'
-    value conditions read, until the first cell fixes it (``window``)."""
+    The witness atoms of the sweep register the parts of the functions they
+    read: a_i * f_i for each nonzero a_i, and theta (part key (n, (1,))); a
+    part is the same in every row.  Registrations widen two digit windows:
+    the fractional degrees of row 0 down to ``floor`` that value conditions
+    read, fixed with the slot width by the first cell (``window``), and the
+    degrees from ``grad_floor`` up that gradient conditions read, fixed when
+    a cell first builds the gradient columns (``grad_base``).  A later
+    registration that would widen a fixed window raises ValueError."""
 
     __slots__ = ("m", "rows", "tables", "part_ids", "parts", "floor", "jmax",
-                 "window")
+                 "window", "grad_floor", "grad_base")
 
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
@@ -258,18 +262,28 @@ class SweepData:
         self.tables = [[VarTable(g, dom) for g in row] for row in self.rows]
         self.part_ids: dict = {}   # (i, coefficients of a_i) -> part id
         self.parts: list = []      # part id -> (i, deg a_i, ((j, e, alpha), ...))
-        self.floor = -1            # deepest fractional degree an atom reads
+        self.floor = -1            # deepest fractional degree a value condition reads
         self.jmax = 0              # largest deg a_i of a part
         self.window = None
+        self.grad_floor = None     # lowest degree a gradient condition reads
+        self.grad_base = None
 
-    def register(self, a: Sequence[Poly], tau: int, with_theta: bool) -> tuple[int, ...]:
-        """Part ids of the value a.f (+ theta) of an atom that reads its
-        fractional digits down to degree tau + 1."""
-        floor = min(self.floor, tau + 1)
+    def register(self, a: Sequence[Poly], with_theta: bool, floor: Optional[int] = None,
+                 grad_floor: Optional[int] = None) -> tuple[int, ...]:
+        """Part ids of a.f (+ theta) for an atom that reads the fractional
+        digits of its value down to degree ``floor``, or the digits of its
+        gradient from degree ``grad_floor`` up."""
         jmax = max([self.jmax] + [ai.deg for ai in a if not ai.is_zero])
-        if self.window is not None and (floor, jmax) != (self.floor, self.jmax):
+        lo = self.floor if floor is None else min(self.floor, floor)
+        if self.window is not None and (lo, jmax) != (self.floor, self.jmax):
             raise ValueError("the digit window is fixed once a cell is evaluated")
-        self.floor, self.jmax = floor, jmax
+        self.floor, self.jmax = lo, jmax
+        if grad_floor is not None:
+            if self.grad_floor is not None:
+                grad_floor = min(self.grad_floor, grad_floor)
+            if self.grad_base is not None and grad_floor != self.grad_floor:
+                raise ValueError("the gradient window is fixed once gradient columns are built")
+            self.grad_floor = grad_floor
         keys = [(i, ai.coeffs) for i, ai in enumerate(a) if not ai.is_zero]
         if with_theta:
             keys.append((self.m.n, (1,)))
@@ -288,14 +302,19 @@ class SweepData:
 
     def fix_window(self) -> None:
         """Set ``window`` = (slot bits s, digit bits s*b, slot mask, slot
-        table, lowest column degree) from the atoms registered so far; the
-        first cell of the sweep calls it, and later calls keep it.
+        table, lowest column degree of row 0) from the atoms registered so
+        far; the first cell of the sweep calls it, and later calls keep it.
 
-        A column packs the fractional digits of u^e * g(c), degree -1 in the
-        lowest b slots and coordinate r of the digit at degree k in slot
-        (-1-k)*b + r.  An atom's packed value sums theta's column and, per
-        part, alpha_{j,e} times its column shifted down j degrees, so a slot
-        holds at most (p-1) + n(jmax+1)b(p-1)^2: s bits never carry."""
+        A column packs digits of u^e * g(c), each digit in b slots of s bits
+        (coordinate r of a digit in the digit's slot r).  Row 0 packs the
+        fractional digits from degree -1 down to floor - jmax, degree -1
+        lowest; multiplying by X^j shifts its column j digits down.  A
+        gradient row packs the digits from grad_base = grad_floor - jmax
+        up, grad_base lowest; multiplying by X^j shifts its column j digits
+        up.  A packed sum of theta's column and, per part, alpha_{j,e} times
+        its shifted columns holds at most (p-1) + n(jmax+1)b(p-1)^2 in a
+        slot, so s bits never carry, and it holds every digit from
+        floor up to -1 (row 0) or from grad_floor up (gradient rows)."""
         if self.window is None:
             K = self.m.spec
             p, b = K.p, K.b
@@ -311,8 +330,10 @@ class MapCellData:
 
     A row's values at the cell center and its variation bounds at the cell
     radius are evaluated the first time an atom asks for the row; products
-    a_i * value are memoized per (row, i, a_i).  Row 0 is also packed into
-    digit columns, and each part's packed product is memoized per part id.
+    a_i * value are memoized per (row, i, a_i).  Row 0 is packed into digit
+    columns when a value condition first reads it, the gradient rows all
+    together when a gradient condition first reads them; each part's packed
+    product is memoized per (row, part id).
     """
 
     __slots__ = ("sd", "cell", "vals", "vars", "prod", "cols", "packed")
@@ -320,11 +341,12 @@ class MapCellData:
     def __init__(self, sd: SweepData, cell: Ball):
         self.sd = sd
         self.cell = cell
-        self.vals: list = [None] * len(sd.rows)
-        self.vars: list = [None] * len(sd.rows)
+        rows = len(sd.rows)
+        self.vals: list = [None] * rows
+        self.vars: list = [None] * rows
         self.prod: dict = {}
-        self.cols: Optional[list] = None
-        self.packed: dict = {}
+        self.cols: list = [None] * rows
+        self.packed: list = [{} for _ in range(rows)]
         sd.fix_window()
 
     @classmethod
@@ -368,38 +390,66 @@ class MapCellData:
                     var = e
         return acc, var
 
-    def part(self, pid: int) -> tuple[int, float, float]:
-        """(packed digits, variation exponent, knowledge horizon) of the
-        part pid on the cell; an exponent of None reads -inf."""
-        got = self.packed.get(pid)
-        if got is None:
-            cols = self.cols if self.cols is not None else self._columns()
-            i, deg, terms = self.sd.parts[pid]
-            col, var, prec = cols[i]
-            sb = self.sd.window[1]
-            acc = 0
+    def packed_sum(self, pids: Sequence[int], row: int) -> tuple[int, float, float]:
+        """(packed digits, variation exponent, knowledge horizon) of the sum
+        of the parts pids in row ``row``; an exponent of None reads -inf."""
+        packed = self.packed[row]
+        val, var, prec = 0, _NEG_INF, _NEG_INF
+        for pid in pids:
+            got = packed.get(pid)
+            if got is None:
+                got = packed[pid] = self._part(pid, row)
+            pv, pvar, pprec = got
+            val += pv
+            if pvar > var:
+                var = pvar
+            if pprec > prec:
+                prec = pprec
+        return val, var, prec
+
+    def _part(self, pid: int, row: int) -> tuple[int, float, float]:
+        cols = self.cols[row] or self._columns(row)
+        i, deg, terms = self.sd.parts[pid]
+        col, var, prec = cols[i]
+        sb = self.sd.window[1]
+        acc = 0
+        if row:
+            for j, e, alpha in terms:
+                acc += alpha * (col[e] << sb * j)
+        else:
             for j, e, alpha in terms:
                 acc += alpha * (col[e] >> sb * j)
-            got = self.packed[pid] = (acc, var + deg, prec + deg)
-        return got
+        return acc, var + deg, prec + deg
 
-    def _columns(self) -> list:
-        _, sb, _, slot, lowest = self.sd.window
-        vals = self._row(0)
-        cols = []
-        for v, var in zip(vals, self.vars[0]):
-            col = [0] * len(slot)
-            for k, c in v.terms:
-                if k >= 0:
-                    continue
-                if k < lowest:
-                    break
-                for e, digit in enumerate(slot):
-                    col[e] += digit[c] << sb * (-1 - k)
-            cols.append((col, _NEG_INF if var is None else var,
-                         _NEG_INF if v.prec is None else v.prec))
-        self.cols = cols
-        return cols
+    def _columns(self, row: int) -> list:
+        """The columns of row 0, or of every gradient row at once."""
+        sd = self.sd
+        _, sb, _, slot, lowest = sd.window
+        if row:
+            if sd.grad_base is None:
+                sd.grad_base = sd.grad_floor - sd.jmax
+            lowest, rows = sd.grad_base, range(1, len(sd.rows))
+        else:
+            rows = (0,)
+        for r in rows:
+            cols = []
+            for v, var in zip(self._row(r), self.vars[r]):
+                col = [0] * len(slot)
+                for k, c in v.terms:
+                    if k < lowest:
+                        break
+                    if r:
+                        shift = sb * (k - lowest)
+                    elif k < 0:
+                        shift = sb * (-1 - k)
+                    else:
+                        continue
+                    for e, digit in enumerate(slot):
+                        col[e] += digit[c] << shift
+                cols.append((col, _NEG_INF if var is None else var,
+                             _NEG_INF if v.prec is None else v.prec))
+            self.cols[r] = cols
+        return self.cols[row]
 
 
 class WitnessAtom:
@@ -409,10 +459,15 @@ class WitnessAtom:
     grad_lower: require ||grad|| >= q^grad_lower (Fraction exponent);
     grad_upper_tau: require ||grad|| <= q^grad_upper_tau (already strict-
     normalized to an integer).
+
+    The value condition reads the packed fractional digits of a.f (+theta)
+    from row 0; the gradient conditions read, per partial d_j, whether the
+    packed sum of row 1+j has a nonzero digit at or above one degree: at
+    least max(var + 1, ceil(grad_lower)), or above max(grad_upper_tau, var).
     """
 
     __slots__ = ("sd", "a", "tau", "value_theta", "grad_theta",
-                 "grad_lower", "grad_upper_tau", "parts")
+                 "grad_lower", "grad_upper_tau", "lower_deg", "parts", "grad_parts")
 
     def __init__(self, sd: SweepData, a, tau: int, value_theta: bool,
                  grad_theta: bool = False, grad_lower=None, grad_upper_tau=None):
@@ -423,7 +478,13 @@ class WitnessAtom:
         self.grad_theta = grad_theta
         self.grad_lower = None if grad_lower is None else Fraction(grad_lower)
         self.grad_upper_tau = grad_upper_tau
-        self.parts = sd.register(self.a, tau, value_theta) if tau < -1 else ()
+        # ||grad|| >= q^L iff some |d_j| >= q^ceil(L): exponents are integers
+        self.lower_deg = None if grad_lower is None else math.ceil(self.grad_lower)
+        self.parts = sd.register(self.a, value_theta, floor=tau + 1) if tau < -1 else ()
+        reads = [] if grad_upper_tau is None else [grad_upper_tau + 1]
+        if self.lower_deg is not None:
+            reads.append(self.lower_deg)
+        self.grad_parts = sd.register(self.a, grad_theta, grad_floor=min(reads)) if reads else ()
 
     def status(self, cell: Ball, ctx: dict) -> int:
         data = MapCellData.of(self.sd, cell, ctx)
@@ -445,15 +506,7 @@ class WitnessAtom:
         tau = self.tau
         if tau >= -1:
             return IN  # |{z}| <= 1/q always
-        packed = data.packed
-        val, var, prec = 0, _NEG_INF, _NEG_INF
-        for pid in self.parts:
-            pv, pvar, pprec = packed.get(pid) or data.part(pid)
-            val += pv
-            if pvar > var:
-                var = pvar
-            if pprec > prec:
-                prec = pprec
+        val, var, prec = data.packed_sum(self.parts, 0)
         if var > -1:
             return UNKNOWN
         if prec > -1:
@@ -471,49 +524,51 @@ class WitnessAtom:
         return IN if var <= tau else UNKNOWN
 
     def _grad_status(self, data: MapCellData) -> int:
-        comps = []
-        for j in range(self.sd.m.d):
-            gv, gvar = data.combo(self.a, 1 + j, self.grad_theta)
-            comps.append((gv.abs_exp(), gvar))
+        """Status of the gradient conditions, per partial d_j of a.f
+        (+theta) with variation q^var: ||grad|| >= q^L is IN when some d_j
+        has a nonzero digit at a degree >= max(var + 1, ceil L), and
+        otherwise UNKNOWN when some var >= ceil L; ||grad|| <= q^tau is OUT
+        when some d_j has a nonzero digit at a degree > max(tau, var), and
+        otherwise UNKNOWN when some var > tau."""
+        rows = [data.packed_sum(self.grad_parts, row) for row in range(1, len(self.sd.rows))]
         out = IN
-        if self.grad_lower is not None:
-            s = _norm_geq_status(comps, self.grad_lower)
-            if s == OUT:
-                return OUT
-            if s == UNKNOWN:
+        lower = self.lower_deg
+        if lower is not None:
+            unknown = False
+            for val, var, prec in rows:
+                if self._reaches(val, var + 1 if var >= lower else lower, prec):
+                    break
+                if var >= lower:
+                    unknown = True
+            else:
+                if not unknown:
+                    return OUT
                 out = UNKNOWN
-        if self.grad_upper_tau is not None:
-            s = _norm_leq_status(comps, self.grad_upper_tau)
-            if s == OUT:
-                return OUT
-            if s == UNKNOWN:
-                out = UNKNOWN
+        tau = self.grad_upper_tau
+        if tau is not None:
+            for val, var, prec in rows:
+                if self._reaches(val, (var if var > tau else tau) + 1, prec):
+                    return OUT
+                if var > tau:
+                    out = UNKNOWN
         return out
 
-
-def _norm_geq_status(comps, lower: Fraction) -> int:
-    """Status of max_j |g_j(x)| >= q^lower on the cell."""
-    any_unknown = False
-    for v_exp, var in comps:
-        if v_exp is not None and (var is None or v_exp > var):
-            # |g_j| is constant = q^v_exp on the cell
-            if Fraction(v_exp) >= lower:
-                return IN
-        elif var is not None and Fraction(var) >= lower:
-            any_unknown = True
-    return UNKNOWN if any_unknown else OUT
-
-
-def _norm_leq_status(comps, tau: int) -> int:
-    """Status of max_j |g_j(x)| <= q^tau on the cell."""
-    out = IN
-    for v_exp, var in comps:
-        s = compare_abs_leq(v_exp, var, tau)
-        if s == OUT:
-            return OUT
-        if s == UNKNOWN:
-            out = UNKNOWN
-    return out
+    def _reaches(self, val: int, deg, prec: float) -> bool:
+        """Whether the packed gradient sum val has a nonzero digit at a
+        degree >= deg, reading b slots mod p a digit.  Digits below the
+        horizon prec are unknown: when they are the only ones left to read,
+        the value is indistinguishable from 0 and PrecisionError is raised."""
+        start = deg if deg >= prec else prec
+        s, sb, mask, _, _ = self.sd.window
+        p = self.sd.m.spec.p
+        val >>= (start - self.sd.grad_base) * sb
+        while val:
+            if (val & mask) % p:
+                return True
+            val >>= s
+        if start > deg:
+            raise PrecisionError("gradient indistinguishable from 0")
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -786,20 +786,6 @@ class Laurent:
         return format_laurent(self)
 
 
-def abs_ratio(num: Poly, den: Poly) -> AbsValue:
-    """|num/den| = q^(deg num - deg den), exactly."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero:
-        return AbsValue.zero()
-    return AbsValue(num.deg - den.deg)
-
-
-def floor_scale(spec: FieldSpec, r: int) -> Laurent:
-    """The element X^r representing the scale q^r: |X^r| = q^r."""
-    return Laurent.X(spec, r)
-
-
 # ---------------------------------------------------------------------------
 # textual format
 # ---------------------------------------------------------------------------

@@ -487,13 +487,3 @@ def good_bound_holds(
     rhs = C * QExp.qpow(q, (Fraction(eps_exp) - Fraction(sup_exp)) * alpha)
     rhs = rhs * QExp.from_fraction(q, ball_measure)
     return lhs <= rhs
-
-
-def disjoint_subcover(balls: Sequence[Ball]) -> list[Ball]:
-    """A pairwise-disjoint subfamily with the same union (ultrametric
-    Besicovitch with constant 1: distinct balls are disjoint or nested)."""
-    kept: list[Ball] = []
-    for b in sorted(balls, key=lambda b: b.radius_exp):
-        if not any(k.contains_ball(b) for k in kept):
-            kept.append(b)
-    return kept

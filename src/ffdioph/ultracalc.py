@@ -150,12 +150,17 @@ class MPoly:
         return tuple(self.partial(j) for j in range(self.d))
 
     def eval(self, point: Sequence[Laurent]) -> Laurent:
+        """The value at ``point``.  A coefficient that is an exact field
+        constant k scales the monomial's power by k (k = 1 leaves it as is)
+        instead of multiplying Laurent series; terms and prec are those of
+        the product c * x^beta either way."""
         if len(point) != self.d:
             raise ValueError("point arity mismatch")
         powers: list[dict[int, Laurent]] = [dict() for _ in range(self.d)]
         acc = Laurent.zero(self.spec)
         for m, c in self.terms.items():
-            v = c
+            k = c.terms[0][1] if c.prec is None and len(c.terms) == 1 and c.terms[0][0] == 0 else 0
+            v = None if k else c
             for j, e in enumerate(m):
                 if e:
                     pw = powers[j].get(e)
@@ -164,7 +169,11 @@ class MPoly:
                         for _ in range(e - 1):
                             pw = pw * point[j]
                         powers[j][e] = pw
-                    v = v * pw
+                    v = pw if v is None else v * pw
+            if v is None:
+                v = c
+            elif k > 1:
+                v = v.scale(k)
             acc = acc + v
         return acc
 

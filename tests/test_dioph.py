@@ -368,6 +368,154 @@ def test_packed_value_status_precision_parity():
     assert all(tally.values()), tally
 
 
+def _reference_grad_status(data, atom, values=None):
+    """The gradient status from Laurent arithmetic: combo per partial,
+    abs_exp and the norm comparisons (``values[j]`` replaces the center
+    value of d_j(a.f + theta) where given)."""
+    comps = []
+    for j in range(data.sd.m.d):
+        gv, gvar = data.combo(atom.a, 1 + j, atom.grad_theta)
+        if values is not None and values[j] is not None:
+            gv = values[j]
+        comps.append((gv.abs_exp(), gvar))
+    out = IN
+    if atom.grad_lower is not None:
+        # max_j |g_j| >= q^lower: IN once some |g_j| is constant on the cell
+        # and large enough, UNKNOWN while some variation reaches the bound
+        s = OUT
+        for v_exp, var in comps:
+            if v_exp is not None and (var is None or v_exp > var):
+                if Fraction(v_exp) >= atom.grad_lower:
+                    s = IN
+                    break
+            elif var is not None and Fraction(var) >= atom.grad_lower:
+                s = UNKNOWN
+        if s == OUT:
+            return OUT
+        if s == UNKNOWN:
+            out = UNKNOWN
+    if atom.grad_upper_tau is not None:
+        for v_exp, var in comps:
+            s = compare_abs_leq(v_exp, var, atom.grad_upper_tau)
+            if s == OUT:
+                return OUT
+            if s == UNKNOWN:
+                out = UNKNOWN
+    return out
+
+
+def test_packed_grad_status_matches_laurent_status():
+    # every (atom, cell) pair of small seeded sweeps: gradient atoms of
+    # several thresholds and shell degrees share one SweepData with value atoms
+    rng = random.Random(7)
+    seen = set()
+    for spec in (F2, F3, FieldSpec(5), FieldSpec.from_order(4)):
+        for d in (1, 2):
+            for with_theta in (False, True):
+                n = rng.randint(1, 2)
+                comps = tuple(_random_mpoly(rng, spec, d) for _ in range(n))
+                theta = _random_mpoly(rng, spec, d) if with_theta else None
+                m = AnalyticMap(spec, d, n, comps, theta)
+                sd = SweepData(m)
+                atoms = []
+                for t in (0, 1, 2):
+                    for bound in (-1, 0, Fraction(3, 4), Fraction(3, 2), -2, 1):
+                        kind = "grad_upper_tau" if bound in (-2, 1) else "grad_lower"
+                        for _ in range(2):
+                            atoms.append(WitnessAtom(
+                                sd, _random_a(rng, spec, n, t), rng.choice((-1, -3)),
+                                value_theta=with_theta,
+                                grad_theta=with_theta and rng.random() < 0.7,
+                                **{kind: bound}))
+                    atoms.append(WitnessAtom(sd, _random_a(rng, spec, n, t), -1, False,
+                                             grad_upper_tau=0))
+                    atoms.append(WitnessAtom(sd, _random_a(rng, spec, n, t), -1, False,
+                                             grad_lower=-1, grad_upper_tau=1))
+                for cell in _random_cells(rng, m.resolved_domain, 8, 3):
+                    data = MapCellData(sd, cell)
+                    for atom in atoms:
+                        got = atom._grad_status(data)
+                        assert got == _reference_grad_status(data, atom), (spec, cell, atom.a)
+                        seen.add(got)
+                        both = {atom._value_status(data), got}
+                        assert atom.status(cell, {"mapcell": data}) == (
+                            OUT if OUT in both else UNKNOWN if UNKNOWN in both else IN)
+    assert seen == {IN, OUT, UNKNOWN}
+
+
+def test_gradient_window_fixed_when_gradient_columns_are_built():
+    x1, x2 = MPoly.var(F3, 2, 0), MPoly.var(F3, 2, 1)
+    m = AnalyticMap(F3, 2, 2, (x1, x1 * x2 + x2 * x2))
+    sd = SweepData(m)
+    a = (Poly.X(F3), Poly.one(F3))
+    cell = next(iter(GridSpec(F3, 2, 3).cells()))
+    WitnessAtom(sd, a, -3, value_theta=False).status(cell, {})
+    # the value window is fixed, the gradient window is not: any floor goes
+    first = WitnessAtom(sd, a, -1, value_theta=False, grad_lower=Fraction(1, 2))
+    WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=-2)
+    assert sd.grad_floor == -1 and sd.grad_base is None
+    first.status(cell, {})
+    assert sd.grad_base == -1 - a[0].deg
+    # later registrations that read no lower are accepted
+    WitnessAtom(sd, a, -1, value_theta=False, grad_lower=-1)
+    WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=5)
+    with pytest.raises(ValueError):
+        WitnessAtom(sd, a, -1, value_theta=False, grad_lower=-2)
+    with pytest.raises(ValueError):
+        WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=-3)
+    with pytest.raises(ValueError):  # a wider shift widens the slots as well
+        WitnessAtom(sd, (Poly.X(F3, 2), a[1]), -1, value_theta=False, grad_lower=1)
+    assert sd.grad_floor == -1
+
+
+def test_packed_grad_status_precision_parity():
+    # d_1 f_1 is known only down to q^-4, and over F_2 a = (1, 1) cancels it
+    # against the exact d_1 f_2 there: d_1(a.f) = x_2 + (0 to q^-4).  The
+    # packed path raises only where the Laurent path raises; where only the
+    # Laurent path raises, its decision equals the reference on every
+    # completion below the window
+    x1, x2 = MPoly.var(F2, 2, 0), MPoly.var(F2, 2, 1)
+    c = Laurent(F2, [(0, 1), (-2, 1)], -4)
+    e = Laurent(F2, [(0, 1), (-2, 1)])
+    f1 = MPoly.monomial(F2, 2, (1, 0), c) + x2 * x2
+    f2 = MPoly.monomial(F2, 2, (1, 0), e) + x1 * x2
+    theta = MPoly.monomial(F2, 2, (0, 1), Laurent(F2, [(-1, 1)], -6))
+    m = AnalyticMap(F2, 2, 2, (f1, f2), theta)
+    sd = SweepData(m)
+    rng = random.Random(8)
+    one, X = Poly.one(F2), Poly.X(F2)
+    atoms = [WitnessAtom(sd, a, -1, value_theta=False, grad_theta=th, **{kind: bound})
+             for a in ((one, one), (X, X), (one, Poly.zero(F2)))
+             for th in (False, True)
+             for kind, bound in (("grad_lower", -6), ("grad_lower", -3),
+                                 ("grad_lower", Fraction(1, 2)),
+                                 ("grad_upper_tau", -7), ("grad_upper_tau", -2),
+                                 ("grad_upper_tau", 0))]
+    cells = _random_cells(rng, m.resolved_domain, 8, 4)
+    cells += [Ball((Laurent.X(F2, -1), Laurent.zero(F2)), r) for r in (3, 6, 8)]
+    tally = {"both decide": 0, "both raise": 0, "only Laurent raises": 0}
+    for cell in cells:
+        data = MapCellData(sd, cell)
+        for atom in atoms:
+            got = _outcome(atom._grad_status, data)
+            ref = _outcome(_reference_grad_status, data, atom)
+            if ref != "raises":
+                assert got == ref
+                tally["both decide"] += 1
+            elif got == "raises":
+                tally["both raise"] += 1
+            else:
+                blank = []
+                for j in range(m.d):
+                    v, _ = data.combo(atom.a, 1 + j, atom.grad_theta)
+                    blank.append([None] if v.terms or v.exact else
+                                 [Laurent(F2, [(v.prec - 1, below)]) for below in (0, 1)])
+                for values in itertools.product(*blank):
+                    assert got == _reference_grad_status(data, atom, values)
+                tally["only Laurent raises"] += 1
+    assert all(tally.values()), tally
+
+
 # ---------------------------------------------------------------------------
 # big gradient
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ from ffdioph.ffield import (
     GridSpec,
     Laurent,
     Poly,
-    abs_ratio,
     enumerate_polys,
     enumerate_shell,
-    floor_scale,
     format_laurent,
     parse_laurent,
     parse_poly,
@@ -148,12 +146,6 @@ def test_poly_ops_match_field_ops():
 # absolute values
 # ---------------------------------------------------------------------------
 
-def test_abs_ratio_paper_example():
-    # |(X^2+1)/(X+1)| = q^1 = 2 over F_2
-    v = abs_ratio(Poly(F2, (1, 0, 1)), Poly(F2, (1, 1)))
-    assert v.exp == 1 and v.as_fraction(2) == 2
-
-
 def test_abs_zero():
     assert Laurent.zero(F3).abs_value().is_zero
 
@@ -267,13 +259,6 @@ def test_poly_part_examples():
 def test_poly_part_precision_guard():
     with pytest.raises(PrecisionError):
         Laurent(F2, [(3, 1)], prec=2).poly_part()
-
-
-def test_floor_scale():
-    assert floor_scale(F3, 2) == Laurent.X(F3, 2)
-    assert floor_scale(F3, 2).abs_value() == AbsValue(2)
-    assert floor_scale(F3, 0) == Laurent.one(F3)
-    assert floor_scale(F3, -3) == Laurent.monomial(F3, 1, -3)
 
 
 def test_div_to_floor_exactness():

@@ -10,7 +10,6 @@ from ffdioph.goodfn import (
     PolyAbsAtom,
     QExp,
     certify_good,
-    disjoint_subcover,
     good_bound_holds,
     measure_union,
     sublevel_measure,
@@ -278,17 +277,6 @@ def test_orthonormal_fails_on_wedge_collapse():
     v2 = [Laurent.one(F3), Laurent.X(F3, -1)]
     # both norms 1 but the wedge has norm q^-1
     assert not check_orthonormal([v1, v2])
-
-
-def test_disjoint_subcover():
-    g = GridSpec(F2, 1, 3)
-    cells = list(g.cells())
-    big = Ball.unit(F2, 1, 1)
-    cover = cells + [big]
-    sub = disjoint_subcover(cover)
-    assert sub == [big]
-    total = sum(b.measure() for b in sub)
-    assert total == big.measure()
 
 
 def test_measure_union_or_semantics():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffdioph.ffield import AbsValue, Ball, FieldSpec, Laurent
 from ffdioph.ultracalc import (
@@ -64,6 +65,54 @@ def test_eval_product_map():
     v = f.eval(x)
     assert v[0] == Laurent.X(F2, -1)
     assert v[1] == Laurent.X(F2, -2)
+
+
+def _eval_by_products(g, point):
+    """g(point) as sum_beta c_beta * x^beta, every factor a Laurent product."""
+    acc = Laurent.zero(g.spec)
+    for m, c in g.terms.items():
+        v = c
+        for x, e in zip(point, m):
+            if e:
+                pw = x
+                for _ in range(e - 1):
+                    pw = pw * x
+                v = v * pw
+        acc = acc + v
+    return acc
+
+
+@st.composite
+def _laurents(draw, spec, kind):
+    """A nonzero exact constant, an exact Laurent, or one known to a horizon."""
+    elem = st.integers(1, spec.q - 1)
+    if kind == "constant":
+        return Laurent.const(spec, draw(elem))
+    degs = draw(st.lists(st.integers(-4, 2), min_size=1, max_size=3, unique=True))
+    terms = [(k, draw(elem)) for k in degs]
+    prec = draw(st.integers(-6, min(degs))) if kind == "windowed" else None
+    return Laurent(spec, terms, prec)
+
+
+@st.composite
+def _evaluations(draw):
+    spec = draw(st.sampled_from([F2, F3, FieldSpec.from_order(4)]))
+    d = draw(st.integers(1, 2))
+    kinds = st.sampled_from(["constant", "exact", "windowed"])
+    monos = st.tuples(*[st.integers(0, 3)] * d)
+    terms = {m: draw(_laurents(spec, draw(kinds)))
+             for m in draw(st.lists(monos, min_size=1, max_size=5, unique=True))}
+    point = [draw(_laurents(spec, draw(st.sampled_from(["exact", "windowed"]))))
+             for _ in range(d)]
+    return MPoly(spec, d, terms), point
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_evaluations())
+def test_eval_matches_laurent_products(case):
+    g, point = case
+    got, want = g.eval(point), _eval_by_products(g, point)
+    assert (got.terms, got.prec) == (want.terms, want.prec)
 
 
 # ---------------------------------------------------------------------------
