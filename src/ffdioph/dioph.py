@@ -134,14 +134,25 @@ class Witness:
         return e is None or Fraction(e) < bound
 
 
+def lin_comb(acc: Laurent, a: Sequence[Poly], vals: Sequence[Laurent]) -> Laurent:
+    """acc + sum a_i * vals_i over the nonzero a_i, added left to right."""
+    for ai, v in zip(a, vals):
+        if not ai.is_zero:
+            acc = acc + ai.to_laurent() * v
+    return acc
+
+
 def _combo_value(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent],
                  theta_on: bool) -> Laurent:
-    acc = m.eval_theta(x) if theta_on else Laurent.zero(m.spec)
-    fx = m.eval(x)
-    for ai, fi in zip(a, fx):
-        if not ai.is_zero:
-            acc = acc + ai.to_laurent() * fi
-    return acc
+    return lin_comb(m.eval_theta(x) if theta_on else Laurent.zero(m.spec), a, m.eval(x))
+
+
+def _grad_exp(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent],
+              theta_on: bool) -> Optional[int]:
+    """Exponent of ||grad(a.f (+theta))(x)||, None when the gradient is 0."""
+    g = m.combo(a, with_theta=theta_on)
+    exps = [g.partial(j).eval(x).abs_exp() for j in range(m.d)]
+    return max((e for e in exps if e is not None), default=None)
 
 
 def best_a0(z: Laurent) -> tuple[Poly, AbsValue]:
@@ -164,21 +175,11 @@ def find_witness(
     fx = m.eval(x)
     th = m.eval_theta(x) if theta_on else Laurent.zero(m.spec)
     for a in enumerate_shell(m.spec, m.n, t):
-        z = th
-        for ai, fi in zip(a, fx):
-            if not ai.is_zero:
-                z = z + ai.to_laurent() * fi
-        head, tail = z.poly_part()
+        head, tail = lin_comb(th, a, fx).poly_part()
         e = tail.abs_exp() if not tail.is_zero else None
         if e is None or Fraction(e) < bound:
-            g = m.combo(a, with_theta=theta_on)
-            grads = [g.partial(j).eval(x) for j in range(m.d)]
-            ge = None
-            for v in grads:
-                ve = v.abs_exp()
-                if ve is not None and (ge is None or ve > ge):
-                    ge = ve
-            return Witness(a=a, a0=-head, value=tail, grad_exp=ge, shell=t)
+            return Witness(a=a, a0=-head, value=tail,
+                           grad_exp=_grad_exp(m, a, x, theta_on), shell=t)
     return None
 
 
@@ -244,15 +245,21 @@ class SweepData:
 
     The witness atoms of the sweep register the parts of the functions they
     read: a_i * f_i for each nonzero a_i, and theta (part key (n, (1,))); a
-    part is the same in every row.  Registrations widen two digit windows:
-    the fractional degrees of row 0 down to ``floor`` that value conditions
-    read, fixed with the slot width by the first cell (``window``), and the
-    degrees from ``grad_floor`` up that gradient conditions read, fixed when
-    a cell first builds the gradient columns (``grad_base``).  A later
-    registration that would widen a fixed window raises ValueError."""
+    part is the same in every row.  Row 0 is of kind 0 (values), the
+    gradient rows of kind 1, and a registration lowers its kind's floor to
+    the lowest degree the atom reads.  Every column packs the digits of
+    u^e * g(c) from its kind's base, floor - jmax, up, the base lowest, each
+    digit in b slots of s bits (coordinate r of a digit in the digit's slot
+    r); multiplying by X^j shifts a column j digits up.  A packed sum of
+    theta's column and, per part, alpha_{j,e} times its shifted columns
+    holds at most (p-1) + n(jmax+1)b(p-1)^2 in a slot, so s bits never
+    carry, and it holds every digit from the kind's floor up.  The slots
+    (s, s*b, slot mask, slot table) are fixed when a cell first builds
+    columns, a kind's base when a cell first builds that kind's columns; a
+    later registration that would widen a fixed window raises ValueError."""
 
-    __slots__ = ("m", "rows", "tables", "part_ids", "parts", "floor", "jmax",
-                 "window", "grad_floor", "grad_base")
+    __slots__ = ("m", "rows", "tables", "part_ids", "parts", "jmax", "floors",
+                 "bases", "slots")
 
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
@@ -262,28 +269,22 @@ class SweepData:
         self.tables = [[VarTable(g, dom) for g in row] for row in self.rows]
         self.part_ids: dict = {}   # (i, coefficients of a_i) -> part id
         self.parts: list = []      # part id -> (i, deg a_i, ((j, e, alpha), ...))
-        self.floor = -1            # deepest fractional degree a value condition reads
         self.jmax = 0              # largest deg a_i of a part
-        self.window = None
-        self.grad_floor = None     # lowest degree a gradient condition reads
-        self.grad_base = None
+        self.floors: list = [None, None]  # per kind: lowest degree an atom reads
+        self.bases: list = [None, None]   # per kind: lowest column degree
+        self.slots = None
 
-    def register(self, a: Sequence[Poly], with_theta: bool, floor: Optional[int] = None,
-                 grad_floor: Optional[int] = None) -> tuple[int, ...]:
-        """Part ids of a.f (+ theta) for an atom that reads the fractional
-        digits of its value down to degree ``floor``, or the digits of its
-        gradient from degree ``grad_floor`` up."""
+    def register(self, a: Sequence[Poly], with_theta: bool, kind: int,
+                 floor: int) -> tuple[int, ...]:
+        """Part ids of a.f (+ theta) for an atom that reads the digits of the
+        rows of ``kind`` from degree ``floor`` up."""
         jmax = max([self.jmax] + [ai.deg for ai in a if not ai.is_zero])
-        lo = self.floor if floor is None else min(self.floor, floor)
-        if self.window is not None and (lo, jmax) != (self.floor, self.jmax):
-            raise ValueError("the digit window is fixed once a cell is evaluated")
-        self.floor, self.jmax = lo, jmax
-        if grad_floor is not None:
-            if self.grad_floor is not None:
-                grad_floor = min(self.grad_floor, grad_floor)
-            if self.grad_base is not None and grad_floor != self.grad_floor:
-                raise ValueError("the gradient window is fixed once gradient columns are built")
-            self.grad_floor = grad_floor
+        old = self.floors[kind]
+        lo = floor if old is None else min(old, floor)
+        if ((self.slots is not None and jmax != self.jmax)
+                or (self.bases[kind] is not None and lo != old)):
+            raise ValueError("the digit window is fixed once a cell builds its columns")
+        self.jmax, self.floors[kind] = jmax, lo
         keys = [(i, ai.coeffs) for i, ai in enumerate(a) if not ai.is_zero]
         if with_theta:
             keys.append((self.m.n, (1,)))
@@ -300,29 +301,19 @@ class SweepData:
             ids.append(pid)
         return tuple(ids)
 
-    def fix_window(self) -> None:
-        """Set ``window`` = (slot bits s, digit bits s*b, slot mask, slot
-        table, lowest column degree of row 0) from the atoms registered so
-        far; the first cell of the sweep calls it, and later calls keep it.
-
-        A column packs digits of u^e * g(c), each digit in b slots of s bits
-        (coordinate r of a digit in the digit's slot r).  Row 0 packs the
-        fractional digits from degree -1 down to floor - jmax, degree -1
-        lowest; multiplying by X^j shifts its column j digits down.  A
-        gradient row packs the digits from grad_base = grad_floor - jmax
-        up, grad_base lowest; multiplying by X^j shifts its column j digits
-        up.  A packed sum of theta's column and, per part, alpha_{j,e} times
-        its shifted columns holds at most (p-1) + n(jmax+1)b(p-1)^2 in a
-        slot, so s bits never carry, and it holds every digit from
-        floor up to -1 (row 0) or from grad_floor up (gradient rows)."""
-        if self.window is None:
+    def fix(self, kind: int) -> int:
+        """The base of ``kind``, fixing it and the slots on first use."""
+        if self.slots is None:
             K = self.m.spec
             p, b = K.p, K.b
             s = ((p - 1) + self.m.n * (self.jmax + 1) * b * (p - 1) ** 2).bit_length()
             # slot[e][c]: the b packed F_p coordinates of u^e * c (u^e encodes as p^e)
             slot = [[sum((K.mul(p**e, c) // p**r % p) << (s * r) for r in range(b))
                      for c in K.elements()] for e in range(b)]
-            self.window = (s, s * b, (1 << s) - 1, slot, self.floor - self.jmax)
+            self.slots = (s, s * b, (1 << s) - 1, slot)
+        if self.bases[kind] is None:
+            self.bases[kind] = self.floors[kind] - self.jmax
+        return self.bases[kind]
 
 
 class MapCellData:
@@ -332,8 +323,9 @@ class MapCellData:
     radius are evaluated the first time an atom asks for the row; products
     a_i * value are memoized per (row, i, a_i).  Row 0 is packed into digit
     columns when a value condition first reads it, the gradient rows all
-    together when a gradient condition first reads them; each part's packed
-    product is memoized per (row, part id).
+    together when a gradient condition first reads them, all in the one
+    layout of ``SweepData``; each part's packed product is memoized per
+    (row, part id).
     """
 
     __slots__ = ("sd", "cell", "vals", "vars", "prod", "cols", "packed")
@@ -347,7 +339,6 @@ class MapCellData:
         self.prod: dict = {}
         self.cols: list = [None] * rows
         self.packed: list = [{} for _ in range(rows)]
-        sd.fix_window()
 
     @classmethod
     def of(cls, sd: SweepData, cell: Ball, ctx: dict) -> "MapCellData":
@@ -411,41 +402,26 @@ class MapCellData:
         cols = self.cols[row] or self._columns(row)
         i, deg, terms = self.sd.parts[pid]
         col, var, prec = cols[i]
-        sb = self.sd.window[1]
+        sb = self.sd.slots[1]
         acc = 0
-        if row:
-            for j, e, alpha in terms:
-                acc += alpha * (col[e] << sb * j)
-        else:
-            for j, e, alpha in terms:
-                acc += alpha * (col[e] >> sb * j)
+        for j, e, alpha in terms:
+            acc += alpha * (col[e] << sb * j)
         return acc, var + deg, prec + deg
 
     def _columns(self, row: int) -> list:
         """The columns of row 0, or of every gradient row at once."""
         sd = self.sd
-        _, sb, _, slot, lowest = sd.window
-        if row:
-            if sd.grad_base is None:
-                sd.grad_base = sd.grad_floor - sd.jmax
-            lowest, rows = sd.grad_base, range(1, len(sd.rows))
-        else:
-            rows = (0,)
-        for r in rows:
+        base = sd.fix(min(row, 1))
+        _, sb, _, slot = sd.slots
+        for r in (range(1, len(sd.rows)) if row else (0,)):
             cols = []
             for v, var in zip(self._row(r), self.vars[r]):
                 col = [0] * len(slot)
                 for k, c in v.terms:
-                    if k < lowest:
+                    if k < base:
                         break
-                    if r:
-                        shift = sb * (k - lowest)
-                    elif k < 0:
-                        shift = sb * (-1 - k)
-                    else:
-                        continue
                     for e, digit in enumerate(slot):
-                        col[e] += digit[c] << shift
+                        col[e] += digit[c] << sb * (k - base)
                 cols.append((col, _NEG_INF if var is None else var,
                              _NEG_INF if v.prec is None else v.prec))
             self.cols[r] = cols
@@ -460,10 +436,11 @@ class WitnessAtom:
     grad_upper_tau: require ||grad|| <= q^grad_upper_tau (already strict-
     normalized to an integer).
 
-    The value condition reads the packed fractional digits of a.f (+theta)
-    from row 0; the gradient conditions read, per partial d_j, whether the
-    packed sum of row 1+j has a nonzero digit at or above one degree: at
-    least max(var + 1, ceil(grad_lower)), or above max(grad_upper_tau, var).
+    Every condition asks whether a packed sum of the parts of a.f (+theta)
+    has a nonzero digit at or above one degree: the value condition in row
+    0 at a degree from max(tau, var) + 1 to -1, the gradient conditions per
+    partial d_j in row 1+j at a degree of at least max(var + 1,
+    ceil(grad_lower)), or above max(grad_upper_tau, var).
     """
 
     __slots__ = ("sd", "a", "tau", "value_theta", "grad_theta",
@@ -480,11 +457,11 @@ class WitnessAtom:
         self.grad_upper_tau = grad_upper_tau
         # ||grad|| >= q^L iff some |d_j| >= q^ceil(L): exponents are integers
         self.lower_deg = None if grad_lower is None else math.ceil(self.grad_lower)
-        self.parts = sd.register(self.a, value_theta, floor=tau + 1) if tau < -1 else ()
+        self.parts = sd.register(self.a, value_theta, 0, tau + 1) if tau < -1 else ()
         reads = [] if grad_upper_tau is None else [grad_upper_tau + 1]
         if self.lower_deg is not None:
             reads.append(self.lower_deg)
-        self.grad_parts = sd.register(self.a, grad_theta, grad_floor=min(reads)) if reads else ()
+        self.grad_parts = sd.register(self.a, grad_theta, 1, min(reads)) if reads else ()
 
     def status(self, cell: Ball, ctx: dict) -> int:
         data = MapCellData.of(self.sd, cell, ctx)
@@ -501,8 +478,8 @@ class WitnessAtom:
         return overall
 
     def _value_status(self, data: MapCellData) -> int:
-        """Status of |{a.f + theta}| <= q^tau: the packed fractional digits
-        at degrees -1 down to max(tau, var) + 1, each b slots mod p."""
+        """Status of |{a.f + theta}| <= q^tau: OUT when some fractional
+        digit above max(tau, var) is nonzero."""
         tau = self.tau
         if tau >= -1:
             return IN  # |{z}| <= 1/q always
@@ -511,16 +488,8 @@ class WitnessAtom:
             return UNKNOWN
         if prec > -1:
             raise PrecisionError("window does not reach degree -1")
-        lo = tau if tau >= var else var  # digits at degrees <= lo decide nothing
-        known = lo if lo >= prec - 1 else prec - 1  # digits above known are in the window
-        s, _, mask, _, _ = self.sd.window
-        p, b = self.sd.m.spec.p, self.sd.m.spec.b
-        for _ in range((-1 - known) * b):
-            if (val & mask) % p:
-                return OUT
-            val >>= s
-        if known > lo:
-            raise PrecisionError("fractional part indistinguishable from 0")
+        if self._reaches(val, (tau if tau >= var else var) + 1, prec, 0, -1):
+            return OUT
         return IN if var <= tau else UNKNOWN
 
     def _grad_status(self, data: MapCellData) -> int:
@@ -536,7 +505,7 @@ class WitnessAtom:
         if lower is not None:
             unknown = False
             for val, var, prec in rows:
-                if self._reaches(val, var + 1 if var >= lower else lower, prec):
+                if self._reaches(val, var + 1 if var >= lower else lower, prec, 1):
                     break
                 if var >= lower:
                     unknown = True
@@ -547,27 +516,31 @@ class WitnessAtom:
         tau = self.grad_upper_tau
         if tau is not None:
             for val, var, prec in rows:
-                if self._reaches(val, (var if var > tau else tau) + 1, prec):
+                if self._reaches(val, (var if var > tau else tau) + 1, prec, 1):
                     return OUT
                 if var > tau:
                     out = UNKNOWN
         return out
 
-    def _reaches(self, val: int, deg, prec: float) -> bool:
-        """Whether the packed gradient sum val has a nonzero digit at a
-        degree >= deg, reading b slots mod p a digit.  Digits below the
-        horizon prec are unknown: when they are the only ones left to read,
-        the value is indistinguishable from 0 and PrecisionError is raised."""
+    def _reaches(self, val: int, deg, prec: float, kind: int, top: Optional[int] = None) -> bool:
+        """Whether the packed sum val of a row of ``kind`` has a nonzero
+        digit at a degree >= deg (and <= top), reading b slots mod p a
+        digit.  Digits below the horizon prec are unknown: when they are the
+        only ones left to read, the value is indistinguishable from 0 and
+        PrecisionError is raised."""
         start = deg if deg >= prec else prec
-        s, sb, mask, _, _ = self.sd.window
-        p = self.sd.m.spec.p
-        val >>= (start - self.sd.grad_base) * sb
-        while val:
-            if (val & mask) % p:
+        s, sb, mask, _ = self.sd.slots
+        spec = self.sd.m.spec
+        val >>= (start - self.sd.bases[kind]) * sb
+        # slots left to read (>= 0 past _value_status's exits); -1 never counts down to 0
+        count = -1 if top is None else (top + 1 - start) * spec.b
+        while val and count:
+            if (val & mask) % spec.p:
                 return True
             val >>= s
+            count -= 1
         if start > deg:
-            raise PrecisionError("gradient indistinguishable from 0")
+            raise PrecisionError("digits indistinguishable from 0")
         return False
 
 
@@ -750,27 +723,16 @@ def in_smallgrad_S_point(
 ) -> bool:
     """Pointwise membership in S(t,t',t_i): exhaustive over the a-box."""
     fx = m.eval(x)
+    dfx = [[f.partial(j).eval(x) for f in m.components] for j in range(m.d)]
+    zero = Laurent.zero(m.spec)
     for a in enumerate_box(m.spec, [ti - 1 for ti in tvec]):
         if all(p.is_zero for p in a):
             continue
-        z = Laurent.zero(m.spec)
-        for ai, fi in zip(a, fx):
-            if not ai.is_zero:
-                z = z + ai.to_laurent() * fi
-        e = frac_exp(z)
+        e = frac_exp(lin_comb(zero, a, fx))
         if e is not None and e >= -t:
             continue
-        ok = True
-        for j in range(m.d):
-            gv = Laurent.zero(m.spec)
-            for i, ai in enumerate(a):
-                if not ai.is_zero:
-                    gv = gv + ai.to_laurent() * m.components[i].partial(j).eval(x)
-            ge = gv.abs_exp()
-            if ge is not None and ge >= t_prime:
-                ok = False
-                break
-        if ok:
+        exps = (lin_comb(zero, a, row).abs_exp() for row in dfx)
+        if all(ge is None or ge < t_prime for ge in exps):
             return True
     return False
 
@@ -802,12 +764,9 @@ def in_phi_f_point(m: AnalyticMap, x: Sequence[Laurent], t: int, delta_exp: int)
     """Pointwise membership in Phi^f(t, delta)."""
     tau = strict_below(delta_exp - m.n * t)
     fx = m.eval(x)
+    zero = Laurent.zero(m.spec)
     for a in enumerate_shell(m.spec, m.n, t):
-        z = Laurent.zero(m.spec)
-        for ai, fi in zip(a, fx):
-            if not ai.is_zero:
-                z = z + ai.to_laurent() * fi
-        e = frac_exp(z)
+        e = frac_exp(lin_comb(zero, a, fx))
         if e is None or e <= tau:
             return True
     return False
@@ -859,12 +818,8 @@ def _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, with_theta):
     e = val.abs_exp()
     if e is not None and Fraction(e) >= lam_exp + psi0_exp(tvec):
         return False
-    g = m.combo(a, with_theta=with_theta)
-    for j in range(m.d):
-        ge = g.partial(j).eval(x).abs_exp()
-        if ge is not None and Fraction(ge) >= lam_exp + tmax * (1 - eps):
-            return False
-    return True
+    ge = _grad_exp(m, a, x, with_theta)
+    return ge is None or Fraction(ge) < lam_exp + tmax * (1 - eps)
 
 
 def phi_delta_exp(delta: Fraction, tvec: Sequence[int]) -> Fraction:
@@ -890,12 +845,7 @@ def classify_gradient(
     t = max((p.deg for p in a if not p.is_zero), default=None)
     if t is None:
         raise ValueError("the split needs a nonzero a")
-    g = m.combo(a, with_theta=theta_on)
-    ge = None
-    for j in range(m.d):
-        e = g.partial(j).eval(x).abs_exp()
-        if e is not None and (ge is None or e > ge):
-            ge = e
+    ge = _grad_exp(m, a, x, theta_on)
     if ge is None:
         return "small"
     return "large" if Fraction(ge) >= Fraction(t) * (1 - eps) else "small"

@@ -29,7 +29,7 @@ from .ffield import (
     strict_below,
 )
 from .goodfn import IN, OUT, UNKNOWN, measure_union
-from .dioph import ApproxFn, MapCellData, SweepData, Witness, in_phi_f_point
+from .dioph import ApproxFn, MapCellData, SweepData, Witness, in_phi_f_point, lin_comb
 from .latdyn import LaurentMatrix, reduce_lattice, short_vectors
 from .ultracalc import AnalyticMap, MPoly, VarTable
 
@@ -381,18 +381,7 @@ def construct_resonant_witness(
     fx = m.eval(x)
 
     def g_value(coefs) -> Laurent:
-        acc = coefs[0].to_laurent()
-        for ai, fi in zip(coefs[1:], fx):
-            if not ai.is_zero:
-                acc = acc + ai.to_laurent() * fi
-        return acc
-
-    def g_d1_value(coefs) -> Laurent:
-        acc = Laurent.zero(spec)
-        for ai, fi in zip(coefs[1:], m.components):
-            if not ai.is_zero:
-                acc = acc + ai.to_laurent() * fi.partial(0).eval(x)
-        return acc
+        return lin_comb(coefs[0].to_laurent(), coefs[1:], fx)
 
     # audit of the short-vector bounds (the g_j estimates); they are
     # theorems only when the short-vector gap holds
@@ -420,7 +409,8 @@ def construct_resonant_witness(
     rhs_main = Laurent.X(spec, n * t_prime + t + 1)
     rows = [tuple(g_value(cf) for cf in gs)]
     rhs = [-theta_x]
-    rows.append(tuple(g_d1_value(cf) for cf in gs))
+    d1fx = [fi.partial(0).eval(x) for fi in m.components]
+    rows.append(tuple(lin_comb(Laurent.zero(spec), cf[1:], d1fx) for cf in gs))
     rhs.append(rhs_main - d1_theta_x)
     for i in range(2, n + 1):
         rows.append(tuple(cf[i].to_laurent() for cf in gs))

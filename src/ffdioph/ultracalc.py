@@ -156,20 +156,18 @@ class MPoly:
         the product c * x^beta either way."""
         if len(point) != self.d:
             raise ValueError("point arity mismatch")
-        powers: list[dict[int, Laurent]] = [dict() for _ in range(self.d)]
+        # powers[j][e] = x_j^e, each built from x_j^(e-1) on first use
+        powers = [[None, x] for x in point]
         acc = Laurent.zero(self.spec)
         for m, c in self.terms.items():
             k = c.terms[0][1] if c.prec is None and len(c.terms) == 1 and c.terms[0][0] == 0 else 0
             v = None if k else c
             for j, e in enumerate(m):
                 if e:
-                    pw = powers[j].get(e)
-                    if pw is None:
-                        pw = point[j]
-                        for _ in range(e - 1):
-                            pw = pw * point[j]
-                        powers[j][e] = pw
-                    v = pw if v is None else v * pw
+                    pw = powers[j]
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * point[j])
+                    v = pw[e] if v is None else v * pw[e]
             if v is None:
                 v = c
             elif k > 1:

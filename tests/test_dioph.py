@@ -16,7 +16,6 @@ from ffdioph.ffield import (
     GridSpec,
     Laurent,
     Poly,
-    enumerate_shell,
 )
 from ffdioph.dioph import (
     ApproxFn,
@@ -443,19 +442,29 @@ def test_packed_grad_status_matches_laurent_status():
     assert seen == {IN, OUT, UNKNOWN}
 
 
-def test_gradient_window_fixed_when_gradient_columns_are_built():
+def test_digit_windows_fixed_when_columns_are_built():
     x1, x2 = MPoly.var(F3, 2, 0), MPoly.var(F3, 2, 1)
     m = AnalyticMap(F3, 2, 2, (x1, x1 * x2 + x2 * x2))
     sd = SweepData(m)
     a = (Poly.X(F3), Poly.one(F3))
     cell = next(iter(GridSpec(F3, 2, 3).cells()))
-    WitnessAtom(sd, a, -3, value_theta=False).status(cell, {})
+    value = WitnessAtom(sd, a, -3, value_theta=False)
+    # a cell that has built no columns fixes nothing: a deeper value floor goes
+    assert WitnessAtom(sd, a, -1, value_theta=False).status(cell, {}) == IN
+    WitnessAtom(sd, a, -5, value_theta=False)
+    assert sd.floors[0] == -4 and sd.bases[0] is None and sd.slots is None
+    value.status(cell, {})
+    assert sd.bases[0] == -4 - a[0].deg and sd.slots is not None
+    WitnessAtom(sd, a, -4, value_theta=False)
+    with pytest.raises(ValueError):
+        WitnessAtom(sd, a, -6, value_theta=False)
+    assert sd.floors[0] == -4
     # the value window is fixed, the gradient window is not: any floor goes
     first = WitnessAtom(sd, a, -1, value_theta=False, grad_lower=Fraction(1, 2))
     WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=-2)
-    assert sd.grad_floor == -1 and sd.grad_base is None
+    assert sd.floors[1] == -1 and sd.bases[1] is None
     first.status(cell, {})
-    assert sd.grad_base == -1 - a[0].deg
+    assert sd.bases[1] == -1 - a[0].deg
     # later registrations that read no lower are accepted
     WitnessAtom(sd, a, -1, value_theta=False, grad_lower=-1)
     WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=5)
@@ -465,7 +474,7 @@ def test_gradient_window_fixed_when_gradient_columns_are_built():
         WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=-3)
     with pytest.raises(ValueError):  # a wider shift widens the slots as well
         WitnessAtom(sd, (Poly.X(F3, 2), a[1]), -1, value_theta=False, grad_lower=1)
-    assert sd.grad_floor == -1
+    assert sd.floors[1] == -1
 
 
 def test_packed_grad_status_precision_parity():

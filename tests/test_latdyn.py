@@ -1,7 +1,6 @@
 """Lattice reduction, wedge algebra, the dynamical encoding, and the
 quantitative-nondivergence probes."""
 
-import itertools
 import random
 from fractions import Fraction
 

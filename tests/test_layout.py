@@ -1,7 +1,7 @@
 """Module layout: package imports sit at module top, so the import graph
 of ffdioph stays acyclic by construction rather than by deferred imports,
-and every function, class and method the package defines is referenced
-somewhere in the package or its tests."""
+every function, class and method the package defines is referenced
+somewhere in the package or its tests, and every imported name is used."""
 
 import ast
 from collections import Counter
@@ -66,3 +66,30 @@ def test_every_defined_name_is_used():
         refs.update(_referenced_names(ast.parse(path.read_text(), filename=str(path))))
     unused = sorted(f"{loc} {n}" for n, loc in where.items() if not refs[n])
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """Names a module imports but never reads: no Name node refers to them
+    and ``__all__`` does not export them (``from __future__`` is exempt)."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    found.append((name, node.lineno))
+    return found
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}" for path in paths
+              for name, line in _unused_imports(ast.parse(path.read_text(), filename=str(path)))]
+    assert not unused, "imported but never used: " + ", ".join(unused)

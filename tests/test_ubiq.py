@@ -6,18 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from ffdioph.ffield import AbsValue, Ball, FieldSpec, GridSpec, Laurent, Poly
+from ffdioph.ffield import Ball, FieldSpec, GridSpec, Laurent, Poly
 from ffdioph.dioph import ApproxFn, SweepData, in_phi_f_point
 from ffdioph.goodfn import measure_union
 from ffdioph.ubiq import (
     ResonantDistAtom,
     ResonantFn,
     UbiquityParams,
-    cell_containing,
     construct_resonant_witness,
     covering_fraction,
     dist_to_resonant,
-    enumerate_family,
     lambda_phi_hits,
     newton_root_1d,
     resonant_gate,
