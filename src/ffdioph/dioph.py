@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -150,7 +150,7 @@ def _combo_value(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent],
 def _grad_exp(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent],
               theta_on: bool) -> Optional[int]:
     """Exponent of ||grad(a.f (+theta))(x)||, None when the gradient is 0."""
-    g = m.combo(a, with_theta=theta_on)
+    g = m.combo(a, None, theta_on)
     exps = [g.partial(j).eval(x).abs_exp() for j in range(m.d)]
     return max((e for e in exps if e is not None), default=None)
 
@@ -241,16 +241,19 @@ _NEG_INF = float("-inf")
 class SweepData:
     """Per-sweep data for one map.  Row 0 is f_1..f_n and theta (zero when
     the map has none), row 1+j their partials d_j; every polynomial has a
-    VarTable over the sweep domain.
+    VarTable over the sweep domain.  The sweep measures a.f + theta when the
+    map has a theta and a.f when it has none: a homogeneous sweep of a map
+    with theta takes ``dataclasses.replace(m, theta=None)``.
 
     The witness atoms of the sweep register the parts of the functions they
-    read: a_i * f_i for each nonzero a_i, and theta (part key (n, (1,))); a
-    part is the same in every row.  Row 0 is of kind 0 (values), the
-    gradient rows of kind 1, and a registration lowers its kind's floor to
-    the lowest degree the atom reads.  Every column packs the digits of
-    u^e * g(c) from its kind's base, floor - jmax, up, the base lowest, each
-    digit in b slots of s bits (coordinate r of a digit in the digit's slot
-    r); multiplying by X^j shifts a column j digits up.  A packed sum of
+    read: a_i * f_i for each nonzero a_i, and theta (part key (n, (1,)))
+    when the map has one; a part is the same in every row.  Row 0 is of
+    kind 0 (values), the gradient rows of kind 1, and a registration lowers
+    its kind's floor to the lowest degree the atom reads.  Every column
+    packs the digits of u^e * g(c) from its kind's base, floor - jmax, up,
+    the base lowest, each digit in b slots of s bits (coordinate r of a
+    digit in the digit's slot r); multiplying by X^j shifts a column j
+    digits up.  A packed sum of
     theta's column and, per part, alpha_{j,e} times its shifted columns
     holds at most (p-1) + n(jmax+1)b(p-1)^2 in a slot, so s bits never
     carry, and it holds every digit from the kind's floor up.  The slots
@@ -264,8 +267,7 @@ class SweepData:
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
         dom = domain if domain is not None else m.resolved_domain
-        row0 = list(m.components) + [m.theta_or_zero]
-        self.rows = [row0] + [[g.partial(j) for g in row0] for j in range(m.d)]
+        self.rows = [list(m.components) + [m.theta_or_zero]] + [list(r) for r in m.partials]
         self.tables = [[VarTable(g, dom) for g in row] for row in self.rows]
         self.part_ids: dict = {}   # (i, coefficients of a_i) -> part id
         self.parts: list = []      # part id -> (i, deg a_i, ((j, e, alpha), ...))
@@ -274,10 +276,10 @@ class SweepData:
         self.bases: list = [None, None]   # per kind: lowest column degree
         self.slots = None
 
-    def register(self, a: Sequence[Poly], with_theta: bool, kind: int,
-                 floor: int) -> tuple[int, ...]:
+    def register(self, a: Sequence[Poly], kind: int, floor: int) -> tuple[int, ...]:
         """Part ids of a.f (+ theta) for an atom that reads the digits of the
-        rows of ``kind`` from degree ``floor`` up."""
+        rows of ``kind`` from degree ``floor`` up; the ids are the same for
+        every kind."""
         jmax = max([self.jmax] + [ai.deg for ai in a if not ai.is_zero])
         old = self.floors[kind]
         lo = floor if old is None else min(old, floor)
@@ -286,7 +288,7 @@ class SweepData:
             raise ValueError("the digit window is fixed once a cell builds its columns")
         self.jmax, self.floors[kind] = jmax, lo
         keys = [(i, ai.coeffs) for i, ai in enumerate(a) if not ai.is_zero]
-        if with_theta:
+        if self.m.theta is not None:
             keys.append((self.m.n, (1,)))
         p, b = self.m.spec.p, self.m.spec.b
         ids = []
@@ -356,15 +358,12 @@ class MapCellData:
             self.vars[row] = [vt.var_exp(r) for vt in self.sd.tables[row]]
         return vals
 
-    def combo(self, a: Sequence[Poly], row: int, with_theta: bool) -> tuple[Laurent, Optional[int]]:
-        """(value at the center, variation bound exponent) of a . row, plus
-        the row's theta entry when with_theta."""
+    def combo(self, a: Sequence[Poly], row: int) -> tuple[Laurent, Optional[int]]:
+        """(value at the center, variation bound exponent) of a . row plus
+        the row's theta entry (0 when the map has no theta)."""
         vals = self._row(row)
         vars_ = self.vars[row]
-        if with_theta:
-            acc, var = vals[-1], vars_[-1]
-        else:
-            acc, var = Laurent.zero(self.sd.m.spec), None
+        acc, var = vals[-1], vars_[-1]
         prod = self.prod
         for i, ai in enumerate(a):
             if ai.is_zero:
@@ -430,7 +429,8 @@ class MapCellData:
 
 class WitnessAtom:
     """Cell condition: dist(a.f(x)+theta, Lambda) <= q^tau, optionally
-    conjoined with gradient-norm constraints on grad(a.f (+theta)).
+    conjoined with gradient-norm constraints on grad(a.f + theta); theta is
+    the sweep map's (none when the map has none).
 
     grad_lower: require ||grad|| >= q^grad_lower (Fraction exponent);
     grad_upper_tau: require ||grad|| <= q^grad_upper_tau (already strict-
@@ -443,25 +443,22 @@ class WitnessAtom:
     ceil(grad_lower)), or above max(grad_upper_tau, var).
     """
 
-    __slots__ = ("sd", "a", "tau", "value_theta", "grad_theta",
-                 "grad_lower", "grad_upper_tau", "lower_deg", "parts", "grad_parts")
+    __slots__ = ("sd", "a", "tau", "grad_lower", "grad_upper_tau", "lower_deg", "parts")
 
-    def __init__(self, sd: SweepData, a, tau: int, value_theta: bool,
-                 grad_theta: bool = False, grad_lower=None, grad_upper_tau=None):
+    def __init__(self, sd: SweepData, a, tau: int, grad_lower=None, grad_upper_tau=None):
         self.sd = sd
         self.a = tuple(a)
         self.tau = tau
-        self.value_theta = value_theta
-        self.grad_theta = grad_theta
         self.grad_lower = None if grad_lower is None else Fraction(grad_lower)
         self.grad_upper_tau = grad_upper_tau
         # ||grad|| >= q^L iff some |d_j| >= q^ceil(L): exponents are integers
         self.lower_deg = None if grad_lower is None else math.ceil(self.grad_lower)
-        self.parts = sd.register(self.a, value_theta, 0, tau + 1) if tau < -1 else ()
+        self.parts = sd.register(self.a, 0, tau + 1) if tau < -1 else ()
         reads = [] if grad_upper_tau is None else [grad_upper_tau + 1]
         if self.lower_deg is not None:
             reads.append(self.lower_deg)
-        self.grad_parts = sd.register(self.a, grad_theta, 1, min(reads)) if reads else ()
+        if reads:  # the same part ids as the value registration's
+            self.parts = sd.register(self.a, 1, min(reads))
 
     def status(self, cell: Ball, ctx: dict) -> int:
         data = MapCellData.of(self.sd, cell, ctx)
@@ -499,7 +496,7 @@ class WitnessAtom:
         otherwise UNKNOWN when some var >= ceil L; ||grad|| <= q^tau is OUT
         when some d_j has a nonzero digit at a degree > max(tau, var), and
         otherwise UNKNOWN when some var > tau."""
-        rows = [data.packed_sum(self.grad_parts, row) for row in range(1, len(self.sd.rows))]
+        rows = [data.packed_sum(self.parts, row) for row in range(1, len(self.sd.rows))]
         out = IN
         lower = self.lower_deg
         if lower is not None:
@@ -580,7 +577,6 @@ def measure_W(
     t0: int,
     t1: int,
     grid: GridSpec,
-    max_depth: Optional[int] = None,
 ) -> SweepReport:
     """Exact measure of {x : some a with ||a|| in [q^t0, q^t1] has a witness}.
 
@@ -593,19 +589,16 @@ def measure_W(
     exps = [psi.exp_at_shell(t) for t in shells]
     taus = [None if e is None else strict_below(e) for e in exps]
     live = [(t, tau) for t, tau in zip(shells, taus) if tau is not None]
-    depth = max_depth if max_depth is not None else _witness_depth(
-        grid, [t for t, _ in live], [tau for _, tau in live]
-    )
+    depth = _witness_depth(grid, [t for t, _ in live], [tau for _, tau in live])
     dom = grid.resolved_domain
-    sd = SweepData(m, dom)
+    sd = SweepData(m if theta_on else replace(m, theta=None), dom)
     atoms: list = []
     labels: list[int] = []
     for t, tau in live:
         if tau >= -1:
             shell_atoms = [TrueAtom()]
         else:
-            shell_atoms = [WitnessAtom(sd, a, tau, value_theta=theta_on)
-                           for a in enumerate_shell(m.spec, m.n, t)]
+            shell_atoms = [WitnessAtom(sd, a, tau) for a in enumerate_shell(m.spec, m.n, t)]
         atoms.extend(shell_atoms)
         labels.extend([t] * len(shell_atoms))
     union = measure_union(atoms, dom, depth, labels)
@@ -645,7 +638,7 @@ def measure_bigA(
     if not (0 < eps < Fraction(1, 2)):
         raise ValueError("need 0 < eps < 1/2")
     dom = grid.resolved_domain
-    sd = SweepData(m, dom)
+    sd = SweepData(m if theta_on else replace(m, theta=None), dom)
     atoms = []
     worst = 0
     for tvec in tvecs:
@@ -655,14 +648,7 @@ def measure_bigA(
         glower = Fraction(tmax) * (1 - eps)
         worst = max(worst, tmax - min(tau, -1))
         for a in enumerate_exact_degrees(m.spec, tvec):
-            atoms.append(
-                WitnessAtom(
-                    sd, a, tau,
-                    value_theta=theta_on,
-                    grad_theta=theta_on,
-                    grad_lower=glower,
-                )
-            )
+            atoms.append(WitnessAtom(sd, a, tau, grad_lower=glower))
     depth = max_depth if max_depth is not None else max(
         grid.N, dom.radius_exp + worst + 1
     )
@@ -678,20 +664,10 @@ def smallgrad_atoms(m: AnalyticMap, t: int, t_prime: int, tvec: Sequence[int],
     """Atoms for the small-gradient set S(t, t', t_1..t_n)."""
     tau_val = strict_below(Fraction(-t))
     tau_grad = strict_below(Fraction(t_prime))
-    sd = SweepData(m, domain)
-    atoms = []
-    for a in enumerate_box(m.spec, [ti - 1 for ti in tvec]):
-        if all(p.is_zero for p in a):
-            continue
-        atoms.append(
-            WitnessAtom(
-                sd, a, tau_val,
-                value_theta=False,
-                grad_theta=False,
-                grad_upper_tau=tau_grad,
-            )
-        )
-    return atoms
+    sd = SweepData(replace(m, theta=None), domain)
+    return [WitnessAtom(sd, a, tau_val, grad_upper_tau=tau_grad)
+            for a in enumerate_box(m.spec, [ti - 1 for ti in tvec])
+            if not all(p.is_zero for p in a)]
 
 
 def measure_smallgrad_S(
@@ -723,7 +699,7 @@ def in_smallgrad_S_point(
 ) -> bool:
     """Pointwise membership in S(t,t',t_i): exhaustive over the a-box."""
     fx = m.eval(x)
-    dfx = [[f.partial(j).eval(x) for f in m.components] for j in range(m.d)]
+    dfx = [[g.eval(x) for g in row[:-1]] for row in m.partials]
     zero = Laurent.zero(m.spec)
     for a in enumerate_box(m.spec, [ti - 1 for ti in tvec]):
         if all(p.is_zero for p in a):
@@ -742,22 +718,20 @@ def measure_phi_f(
     t: int,
     delta_exp: int,
     B: Ball,
-    max_depth: Optional[int] = None,
 ) -> MeasureResult:
     """Exact measure of Phi^f(t, delta) ∩ B: some ||a|| = q^t with
     |f(x).a + a_0| < delta q^{-nt}."""
     if t < 1 or delta_exp >= 0:
         raise ValueError("need t >= 1 and 0 < delta < 1")
     tau = strict_below(delta_exp - m.n * t)
-    sd = SweepData(m, B)
+    sd = SweepData(replace(m, theta=None), B)
     atoms: list = []
     if tau >= -1:
         atoms.append(TrueAtom())
     else:
         for a in enumerate_shell(m.spec, m.n, t):
-            atoms.append(WitnessAtom(sd, a, tau, value_theta=False))
-    depth = max_depth if max_depth is not None else B.radius_exp + t - min(tau, -1) + 1
-    return measure_union(atoms, B, depth)
+            atoms.append(WitnessAtom(sd, a, tau))
+    return measure_union(atoms, B, B.radius_exp + t - min(tau, -1) + 1)
 
 
 def in_phi_f_point(m: AnalyticMap, x: Sequence[Laurent], t: int, delta_exp: int) -> bool:
@@ -790,7 +764,7 @@ def in_I_t(
         raise ValueError("alpha = 0 is excluded from the index set")
     if any(not p.is_zero and p.deg > ti for p, ti in zip(a, tvec)):
         return False
-    return _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, with_theta=True)
+    return _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, theta_on=True)
 
 
 def in_H_t(
@@ -807,18 +781,18 @@ def in_H_t(
         raise ValueError("alpha = 0 is excluded from the index set")
     if any(not p.is_zero and p.deg > ti for p, ti in zip(a, tvec)):
         return False
-    return _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, with_theta=False)
+    return _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, theta_on=False)
 
 
-def _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, with_theta):
+def _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, theta_on):
     lam_exp = Fraction(lam_exp)
     eps = Fraction(eps)
     tmax = max(tvec)
-    val = _combo_value(m, a, x, with_theta) + a0.to_laurent()
+    val = _combo_value(m, a, x, theta_on) + a0.to_laurent()
     e = val.abs_exp()
     if e is not None and Fraction(e) >= lam_exp + psi0_exp(tvec):
         return False
-    ge = _grad_exp(m, a, x, with_theta)
+    ge = _grad_exp(m, a, x, theta_on)
     return ge is None or Fraction(ge) < lam_exp + tmax * (1 - eps)
 
 
@@ -827,7 +801,7 @@ def phi_delta_exp(delta: Fraction, tvec: Sequence[int]) -> Fraction:
     return Fraction(delta) * max(tvec)
 
 
-# the gradient-split parameter: any 0 < eps < 1/2 works; 1/4 is the default
+# the gradient-split parameter of classify_gradient (any 0 < eps < 1/2 works)
 GRAD_EPS_DEFAULT = Fraction(1, 4)
 
 
@@ -835,17 +809,14 @@ def classify_gradient(
     m: AnalyticMap,
     a: Sequence[Poly],
     x: Sequence[Laurent],
-    eps: Fraction = GRAD_EPS_DEFAULT,
     theta_on: bool = True,
 ) -> str:
-    """'large' iff ||grad(f.a + theta)(x)|| >= ||a||^(1 - eps), else 'small'."""
-    eps = Fraction(eps)
-    if not (0 < eps < Fraction(1, 2)):
-        raise ValueError("need 0 < eps < 1/2")
+    """'large' iff ||grad(f.a + theta)(x)|| >= ||a||^(1 - eps) with eps =
+    GRAD_EPS_DEFAULT, else 'small'."""
     t = max((p.deg for p in a if not p.is_zero), default=None)
     if t is None:
         raise ValueError("the split needs a nonzero a")
     ge = _grad_exp(m, a, x, theta_on)
     if ge is None:
         return "small"
-    return "large" if Fraction(ge) >= Fraction(t) * (1 - eps) else "small"
+    return "large" if Fraction(ge) >= Fraction(t) * (1 - GRAD_EPS_DEFAULT) else "small"

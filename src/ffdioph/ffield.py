@@ -882,8 +882,9 @@ def parse_laurent(s: str, spec: Optional[FieldSpec] = None) -> Laurent:
     return Laurent(spec, pairs, top - n + 1)
 
 
-def parse_poly(s: str, spec: Optional[FieldSpec] = None) -> Poly:
-    z = parse_laurent(s, spec)
+def parse_poly(s: str) -> Poly:
+    """An exact polynomial literal with its "(mod q)" field suffix."""
+    z = parse_laurent(s)
     if not z.exact:
         raise ValueError("polynomial literals must be exact")
     head, tail = z.poly_part()

@@ -447,7 +447,6 @@ def certify_good(
     alpha,
     eps_exps: Sequence,
     resolution: Optional[int] = None,
-    max_depth: Optional[int] = None,
 ) -> GoodnessCertificate:
     """Certify (C, alpha)-goodness of g on the tested epsilon grid.
 
@@ -456,7 +455,7 @@ def certify_good(
     <= 1 and are admitted (the definition is vacuous there).
     """
     def sweep(tau):
-        depth = _sublevel_depth(g, ball, tau, resolution, max_depth)
+        depth = _sublevel_depth(g, ball, tau, resolution, None)
         return measure_union([PolyAbsAtom(g, tau)], ball, depth)
 
     return _certify(ball, alpha, sup_norm_on_ball(g, ball), eps_exps, sweep)

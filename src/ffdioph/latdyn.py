@@ -14,7 +14,7 @@ exactly the successive minima and their product is |det|.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -185,7 +185,7 @@ class ReducedLattice:
         return [(self.columns[i], self.coeffs[i], self.norm_exps[i]) for i in order]
 
 
-def reduce_lattice(columns: Sequence[Sequence[Laurent]], max_steps: int = 100000) -> ReducedLattice:
+def reduce_lattice(columns: Sequence[Sequence[Laurent]]) -> ReducedLattice:
     """Reduce a basis of the Lambda-module spanned by the columns.
 
     Column operations over Lambda cancel F_q-dependences among leading
@@ -208,7 +208,7 @@ def reduce_lattice(columns: Sequence[Sequence[Laurent]], max_steps: int = 100000
             raise ValueError("zero column: columns are not F-linearly independent")
         norms.append(e)
     steps: list[dict] = []
-    for _ in range(max_steps):
+    for _ in range(100000):
         leads = [
             [cols[j][i].coeff(norms[j]) for i in range(len(cols[j]))]
             for j in range(k)
@@ -241,12 +241,6 @@ def reduce_lattice(columns: Sequence[Sequence[Laurent]], max_steps: int = 100000
             raise ValueError("columns are not F-linearly independent")
         norms[j_star] = e
     raise RuntimeError("lattice reduction did not terminate (bug or bad input)")
-
-
-def short_vectors(red: ReducedLattice, count: Optional[int] = None):
-    """The reduced basis vectors sorted by norm (the g_j of the construction)."""
-    out = red.by_norm()
-    return out if count is None else out[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +390,7 @@ def build_Ux(m: AnalyticMap, x: Sequence[Laurent]) -> LaurentMatrix:
         row = [zero] * size
         row[1 + i] = one
         for j in range(n):
-            row[1 + d + j] = m.components[j].partial(i).eval(x)
+            row[1 + d + j] = m.partials[i][j].eval(x)
         rows.append(tuple(row))
     for j in range(n):
         row = [zero] * size
@@ -505,7 +499,7 @@ def dux_columns(m: AnalyticMap, x: Sequence[Laurent], D: DiagonalScaling) -> lis
     d, n = m.d, m.n
     zero = Laurent.zero(spec)
     fx = m.eval(x)
-    grads = [[m.components[j].partial(i).eval(x) for i in range(d)] for j in range(n)]
+    grads = [[m.partials[i][j].eval(x) for i in range(d)] for j in range(n)]
     cols = []
     col0 = [Laurent.one(spec)] + [zero] * (d + n)
     cols.append(D.apply(col0))
@@ -663,7 +657,7 @@ def dux_symbolic_columns(m: AnalyticMap, D: DiagonalScaling) -> list[list[MPoly]
         col = [zero] * size
         col[0] = shifted(m.components[j], exps[0])
         for i in range(d):
-            col[1 + i] = shifted(m.components[j].partial(i), exps[1 + i])
+            col[1 + i] = shifted(m.partials[i][j], exps[1 + i])
         col[1 + d + j] = MPoly.const(spec, d, Laurent.X(spec, exps[1 + d + j]))
         cols.append(col)
     return cols
@@ -718,13 +712,13 @@ def check_ABC(
     V: Ball,
     D: DiagonalScaling,
     height: int,
-    alpha=Fraction(1, 4),
     eps_exps: Sequence[int] = (-1, -2, -3),
-    sample_resolution: Optional[int] = None,
 ) -> ABCReport:
-    """Certify (A) goodness, (B) finiteness at samples, (C) sup >= rho for all
+    """Certify (A) goodness with alpha = 1/4, (B) finiteness at the centers
+    of the cells of radius q^-(r+2) in V = B(c, q^-r), (C) sup >= rho for all
     primitive submodules of Gamma up to the height bound."""
     spec = m.spec
+    alpha = Fraction(1, 4)
     deltas = list(primitive_submodules(spec, m.n, m.n + 1, height))
     goodness = []
     sup_exps = []
@@ -740,10 +734,8 @@ def check_ABC(
         certified = certified and cert.certified
         goodness.append((delta.rank, cert.C))
     rho_exp = min(sup_exps)
-    if sample_resolution is None:
-        sample_resolution = V.radius_exp + 2
     counts = []
-    for cell in GridSpec(spec, V.d, sample_resolution, V).cells():
+    for cell in GridSpec(spec, V.d, V.radius_exp + 2, V).cells():
         x = cell.center
         cnt = 0
         for comps in comp_cache:
@@ -757,7 +749,7 @@ def check_ABC(
         bounded_counts=counts,
         sup_exps=sup_exps,
         rho_exp=rho_exp,
-        alpha=Fraction(alpha),
+        alpha=alpha,
         certified=certified,
     )
 
@@ -783,13 +775,10 @@ def qn_short_vector_atoms(
     if tau0 >= 0:
         # a~ = 0 with nonzero a~0 already satisfies everything
         atoms.append(TrueAtom())
-    sd = SweepData(m, domain)
+    sd = SweepData(replace(m, theta=None), domain)
     for a in enumerate_box(spec, bounds):
-        if all(p.is_zero for p in a):
-            continue
-        atoms.append(
-            WitnessAtom(sd, a, tau0, value_theta=False, grad_upper_tau=taustar)
-        )
+        if not all(p.is_zero for p in a):
+            atoms.append(WitnessAtom(sd, a, tau0, grad_upper_tau=taustar))
     return atoms
 
 

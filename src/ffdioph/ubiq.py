@@ -30,7 +30,7 @@ from .ffield import (
 )
 from .goodfn import IN, OUT, UNKNOWN, measure_union
 from .dioph import ApproxFn, MapCellData, SweepData, Witness, in_phi_f_point, lin_comb
-from .latdyn import LaurentMatrix, reduce_lattice, short_vectors
+from .latdyn import LaurentMatrix, reduce_lattice
 from .ultracalc import AnalyticMap, MPoly, VarTable
 
 # ---------------------------------------------------------------------------
@@ -49,14 +49,14 @@ def newton_root_1d(
     h: Sequence[Laurent],
     prec: int,
     seed: Optional[Laurent] = None,
-    max_iter: int = 64,
 ) -> Laurent:
     """A root of the univariate polynomial h (coefficients ascending) with
     |h(root)| <= q^(-prec), by Newton iteration from the seed.
 
     Requires the Hensel condition |h(s)| < |h'(s)|^2 at the seed; the
     returned root satisfies |root - s| = |h(s)|/|h'(s)| (or root = s when
-    h(s) = 0), the standard ultrametric Newton contract.
+    h(s) = 0), the standard ultrametric Newton contract.  Raises
+    PrecisionError after 64 iterations.
     """
     spec = h[0].spec
     if seed is None:
@@ -69,7 +69,7 @@ def newton_root_1d(
     d0 = _upoly_eval(deriv, x)
     if d0.terms == () or (h0.terms and d0.terms and h0.top_deg >= 2 * d0.top_deg):
         raise ValueError("Hensel condition |h(seed)| < |h'(seed)|^2 fails")
-    for _ in range(max_iter):
+    for _ in range(64):
         hv = _upoly_eval(h, x)
         if not hv.terms:
             return x
@@ -117,28 +117,27 @@ class UbiquityParams:
     """The scale data of the ubiquitous system built at contraction delta.
 
     t' is determined by q^-t' <= delta < q^-(t'-1); k_0 = q^-(nt'+1) weights
-    the resonant family, rho(r) = k_1 r^-(n+1) with k_1 = q^-nt' by default.
+    the resonant family, rho(r) = k_1 r^-(n+1) with k_1 = q^-nt'.
     gamma = d - 1 is the common dimension.
     """
 
     n: int
     d: int
     t_prime: int
-    k1_exp: Optional[int] = None
 
     @classmethod
-    def from_delta(cls, delta_exp: int, n: int, d: int, k1_exp: Optional[int] = None):
+    def from_delta(cls, delta_exp: int, n: int, d: int):
         if delta_exp >= 0:
             raise ValueError("need 0 < delta < 1")
-        return cls(n=n, d=d, t_prime=-delta_exp, k1_exp=k1_exp)
+        return cls(n=n, d=d, t_prime=-delta_exp)
 
     @property
     def k0_exp(self) -> int:
         return -(self.n * self.t_prime + 1)
 
     @property
-    def k1_exp_resolved(self) -> int:
-        return self.k1_exp if self.k1_exp is not None else -self.n * self.t_prime
+    def k1_exp(self) -> int:
+        return -self.n * self.t_prime
 
     @property
     def gamma(self) -> int:
@@ -146,7 +145,7 @@ class UbiquityParams:
 
     def rho_exp(self, t: int) -> int:
         """Exponent of rho(q^t) = k_1 q^{-t(n+1)}."""
-        return self.k1_exp_resolved - t * (self.n + 1)
+        return self.k1_exp - t * (self.n + 1)
 
     def rho_decay_ok(self) -> bool:
         """The ubiquity hypothesis rho(q^{t+1}) <= lambda rho(q^t) for some
@@ -159,20 +158,19 @@ class UbiquityParams:
 # the gate |d1(g+theta)| > lambda ||grad(g+theta)||
 # ---------------------------------------------------------------------------
 
-def resonant_gate(g: ResonantFn, U0: Ball, max_depth: Optional[int] = None) -> bool:
+def resonant_gate(g: ResonantFn, U0: Ball) -> bool:
     """Certify |d1(g+theta)(x)| > (1/q - 1/q^2) ||grad(g+theta)(x)|| on U0.
 
     On the discrete value group the condition is |d1| >= ||grad||/q
     pointwise.  Certified by dominance of center values over variation
-    bounds, refining undecided cells.
+    bounds, refining undecided cells down to radius q^-(r+24) for U0 of
+    radius q^-r.
     """
     if U0.radius_exp < 2:
         raise ValueError("gate domain needs diam <= 1/q^2 (radius_exp >= 2)")
     m = g.m
     gt = g.with_theta()
     partials = [gt.partial(j) for j in range(m.d)]
-    if max_depth is None:
-        max_depth = U0.radius_exp + 24
     stack = [U0]
     while stack:
         cell = stack.pop()
@@ -181,7 +179,7 @@ def resonant_gate(g: ResonantFn, U0: Ball, max_depth: Optional[int] = None) -> b
             return False
         if decided == IN:
             continue
-        if cell.radius_exp >= max_depth:
+        if cell.radius_exp >= U0.radius_exp + 24:
             raise PrecisionError("gate certification exceeded the depth budget")
         stack.extend(cell.subdivide())
     return True
@@ -216,13 +214,12 @@ class ResonantDistance:
     root_point: Optional[tuple[Laurent, ...]]
 
 
-def dist_to_resonant(
-    x: Sequence[Laurent], g: ResonantFn, prec: int = 40
-) -> ResonantDistance:
+def dist_to_resonant(x: Sequence[Laurent], g: ResonantFn) -> ResonantDistance:
     """||x - x_eta|| for the axis root x_eta = (x_1 + eta, x_2..x_d) of g+theta.
 
     Ultrametrically this equals |h(0)|/|h'(0)| for h(eta) = (g+theta)(x+eta e_1)
-    whenever the Hensel condition holds; the root itself comes from Newton.
+    whenever the Hensel condition holds; the root itself comes from Newton,
+    to |h(root)| <= q^-40.
     """
     spec = g.m.spec
     gt = g.with_theta()
@@ -236,7 +233,7 @@ def dist_to_resonant(
     h0 = coeffs[0]
     if h0.is_zero:
         return ResonantDistance(AbsValue.zero(), tuple(x))
-    eta = newton_root_1d(coeffs, prec=prec)
+    eta = newton_root_1d(coeffs, prec=40)
     root = list(x)
     root[0] = x[0] + eta
     dist = eta.abs_value()
@@ -264,9 +261,9 @@ class ResonantDistAtom:
 
     def status(self, cell: Ball, ctx: dict) -> int:
         data = MapCellData.of(self.sd, cell, ctx)
-        v, vvar = data.combo(self.g.a, 0, with_theta=True)
+        v, vvar = data.combo(self.g.a, 0)
         v = v + self.g.a0.to_laurent()
-        g1, g1var = data.combo(self.g.a, 1, with_theta=True)
+        g1, g1var = data.combo(self.g.a, 1)
         g1_exp = g1.abs_exp()
         if g1_exp is None or (g1var is not None and g1_exp <= g1var):
             return UNKNOWN
@@ -376,7 +373,7 @@ def construct_resonant_witness(
     # at degenerate centers.  The construction proceeds regardless and the
     # three claims are verified directly; the gap is recorded in the audit.
     short_gap_ok = minima[0] > delta_exp
-    basis = short_vectors(red)
+    basis = red.by_norm()  # the g_j: the reduced basis sorted by norm
     gs = [coefs for _, coefs, _ in basis]  # each: (a_{j,0}, a_{j,1}..a_{j,n})
     fx = m.eval(x)
 
@@ -405,11 +402,10 @@ def construct_resonant_witness(
 
     # the linear system: rows g_j(x); d1 g_j(x); a_{j,i} for i = 2..n
     theta_x = m.eval_theta(x)
-    d1_theta_x = m.theta_or_zero.partial(0).eval(x)
+    *d1fx, d1_theta_x = (g.eval(x) for g in m.partials[0])
     rhs_main = Laurent.X(spec, n * t_prime + t + 1)
     rows = [tuple(g_value(cf) for cf in gs)]
     rhs = [-theta_x]
-    d1fx = [fi.partial(0).eval(x) for fi in m.components]
     rows.append(tuple(lin_comb(Laurent.zero(spec), cf[1:], d1fx) for cf in gs))
     rhs.append(rhs_main - d1_theta_x)
     for i in range(2, n + 1):
@@ -515,7 +511,6 @@ class CoveringReport:
     ball_measure: Fraction
     partial: bool            # True when only a constructed subfamily was used
     family_size: int
-    phi_complement_fraction: Optional[Fraction] = None
 
     @property
     def certified(self) -> bool:
@@ -528,24 +523,23 @@ def covering_fraction(
     delta_exp: int,
     B: Ball,
     params: Optional[UbiquityParams] = None,
-    resolution: Optional[int] = None,
     budget: int = 200_000,
-    max_depth: Optional[int] = None,
 ) -> CoveringReport:
     """Exact measure fraction of union over beta_g <= q^t of the rho(q^t)-
     neighborhoods of the resonant sets, within B.
 
     When the full family exceeds the budget the union runs over the
     subfamily constructed from the non-resonance-rich grid centers; the
-    result is then a certified lower bound, flagged partial.
+    result is then a certified lower bound, flagged partial.  With B of
+    radius q^-r, the subfamily samples centers at resolution max(r + 3,
+    1 - rho exponent) and the union is decided to depth r + 5 + max(0, -tau).
     """
     if params is None:
         params = UbiquityParams.from_delta(delta_exp, m.n, m.d)
     if B.radius_exp < 2:
         raise ValueError("probe ball must have radius_exp >= 2 (diam <= 1/q^2)")
     rho = params.rho_exp(t)
-    if resolution is None:
-        resolution = B.radius_exp + 3
+    resolution = B.radius_exp + 3
     family = enumerate_family(m, params, t, budget=budget)
     partial = family is None
     if family is None:
@@ -580,8 +574,7 @@ def covering_fraction(
         except PrecisionError:
             continue
         atoms.append(ResonantDistAtom(g, tau, sd))
-    depth = max_depth if max_depth is not None else resolution + max(0, -tau) + 2
-    res = measure_union(atoms, B, depth)
+    res = measure_union(atoms, B, resolution + max(0, -tau) + 2)
     bm = B.measure()
     return CoveringReport(
         fraction=res.included / bm,
@@ -609,7 +602,6 @@ def lambda_phi_hits(
     grid: GridSpec,
     params: UbiquityParams,
     budget: int = 200_000,
-    max_depth: Optional[int] = None,
 ) -> LambdaPhiReport:
     """Measure of {x : dist(x, R_g) < phi(beta_g) for some g with beta_g <= q^T},
     with phi(r) = k0 r^-1 psi(k0^-1 r); every sampled hit is re-verified as a
@@ -638,8 +630,7 @@ def lambda_phi_hits(
             continue
         atoms.append(ResonantDistAtom(g, tau, sd))
         per_g.append((g, tau))
-    depth = max_depth if max_depth is not None else grid.N + 6
-    res = measure_union(atoms, dom, depth)
+    res = measure_union(atoms, dom, grid.N + 6)
     hits = []
     verified = True
     for cell in grid.cells():

@@ -11,6 +11,7 @@ refinement reserved for the cancellation cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import FieldMismatchError, PrecisionError
@@ -301,17 +302,16 @@ class VarTable:
         return best
 
 
-def sup_norm_on_ball(g: MPoly, ball: Ball, max_depth: Optional[int] = None) -> AbsValue:
+def sup_norm_on_ball(g: MPoly, ball: Ball) -> AbsValue:
     """Exact sup of |g| over the ball (Haar-a.e. sup = max, attained).
 
     Starts from the ultrametric coefficient bound and refines the cells
     whose bound is not yet attained by an evaluated center.  Terminates
-    because center values stabilize while variation bounds decay with depth.
+    because center values stabilize while variation bounds decay with depth;
+    refinement below radius q^-(r+60) of a ball of radius q^-r raises.
     """
     if g.is_zero:
         return AbsValue.zero()
-    if max_depth is None:
-        max_depth = ball.radius_exp + 60
     best: Optional[int] = None  # exponent of largest |g(center)| seen
     # breadth-first: a whole level's center values feed the lower bound
     # before any refinement, so a path where g vanishes identically (e.g. a
@@ -330,7 +330,7 @@ def sup_norm_on_ball(g: MPoly, ball: Ball, max_depth: Optional[int] = None) -> A
         for cell, bound in pending:
             if best is not None and bound <= best:
                 continue
-            if cell.radius_exp >= max_depth:
+            if cell.radius_exp >= ball.radius_exp + 60:
                 raise PrecisionError("sup-norm refinement exceeded the depth budget")
             nxt.extend(cell.subdivide())
         level = nxt
@@ -508,6 +508,13 @@ class AnalyticMap:
     def eval(self, x: Sequence[Laurent]) -> tuple[Laurent, ...]:
         return tuple(f.eval(x) for f in self.components)
 
+    @cached_property
+    def partials(self) -> tuple[tuple[MPoly, ...], ...]:
+        """partials[j] = (d_j f_1, ..., d_j f_n, d_j theta), built once per
+        map (d_j theta is 0 when the map has no theta)."""
+        row = self.components + (self.theta_or_zero,)
+        return tuple(tuple(g.partial(j) for g in row) for j in range(self.d))
+
     def eval_theta(self, x: Sequence[Laurent]) -> Laurent:
         return self.theta_or_zero.eval(x)
 
@@ -524,13 +531,12 @@ class AnalyticMap:
         return acc
 
 
-def veronese(spec: FieldSpec, n: int, domain: Optional[Ball] = None,
-             theta: Optional[MPoly] = None) -> AnalyticMap:
+def veronese(spec: FieldSpec, n: int, theta: Optional[MPoly] = None) -> AnalyticMap:
     """The Veronese curve x -> (x, x^2, ..., x^n) with d = 1."""
     comps = tuple(
         MPoly.monomial(spec, 1, (k,), Laurent.one(spec)) for k in range(1, n + 1)
     )
-    return AnalyticMap(spec, 1, n, comps, theta=theta, domain=domain)
+    return AnalyticMap(spec, 1, n, comps, theta=theta)
 
 
 @dataclass
@@ -600,9 +606,9 @@ def _sup_exceeds(g: MPoly, ball: Ball, limit_exp: int, vt: Optional[VarTable] = 
     return sup_norm_on_ball(g, ball) > AbsValue(limit_exp)
 
 
-def check_conditions(m: AnalyticMap, domain: Optional[Ball] = None) -> ConditionsReport:
-    """Certify conditions (II)-(IV) for f and (VI) for theta on the domain."""
-    ball = domain if domain is not None else m.resolved_domain
+def check_conditions(m: AnalyticMap) -> ConditionsReport:
+    """Certify conditions (II)-(IV) for f and (VI) for theta on the map's domain."""
+    ball = m.resolved_domain
     violations = []
 
     x1 = MPoly.var(m.spec, m.d, 0)
@@ -622,8 +628,8 @@ def check_conditions(m: AnalyticMap, domain: Optional[Ball] = None) -> Condition
         if _sup_exceeds(f, ball, 0, vt):
             f_sup_ok = False
             violations.append(f"condition IV: ||f{i}|| > 1 on the domain")
-        for j in range(m.d):
-            if _sup_exceeds(f.partial(j), ball, 0):
+        for j, row in enumerate(m.partials):
+            if _sup_exceeds(row[i - 1], ball, 0):
                 grad_ok = False
                 violations.append(f"condition IV: |d_{j+1} f{i}| > 1 on the domain")
         e = vt.weight_exp(2)
@@ -638,8 +644,8 @@ def check_conditions(m: AnalyticMap, domain: Optional[Ball] = None) -> Condition
         if _sup_exceeds(th, ball, 0, vt):
             theta_ok = False
             violations.append("condition VI: |theta| > 1 on the domain")
-        for j in range(m.d):
-            if _sup_exceeds(th.partial(j), ball, 0):
+        for j, row in enumerate(m.partials):
+            if _sup_exceeds(row[-1], ball, 0):
                 theta_ok = False
                 violations.append(f"condition VI: |d_{j+1} theta| > 1 on the domain")
         e = vt.weight_exp(2)

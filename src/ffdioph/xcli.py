@@ -329,11 +329,11 @@ def run_biggrad(
     tmax: int,
     eps: Fraction,
     grid_N: int,
-    theta_on: bool = False,
     config: Optional[dict] = None,
 ) -> ExperimentReport:
-    """delta-sweep of the big-gradient set measure; verdict: the exact
-    ratios |A_delta| / (delta |U|) stay below one recorded constant."""
+    """delta-sweep of the homogeneous big-gradient set measure; verdict:
+    the exact ratios |A_delta| / (delta |U|) stay below one recorded
+    constant."""
     grid = GridSpec(m.spec, m.d, grid_N, m.resolved_domain)
     tvecs = list(itertools.product(range(tmax + 1), repeat=m.n))
     rows = []
@@ -342,7 +342,7 @@ def run_biggrad(
     for de in delta_exps:
         if de >= 0:
             raise ValueError("delta must satisfy 0 < delta < 1")
-        res, ratio = measure_bigA(m, de, tvecs, eps, grid, theta_on=theta_on)
+        res, ratio = measure_bigA(m, de, tvecs, eps, grid)
         certified = certified and res.certified
         rows.append({
             "deltaExp": de,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ffdioph.ffield import Laurent, Poly
+from ffdioph.ffield import Laurent, Poly, enumerate_shell, strict_below
 from ffdioph.goodfn import frac_exp
 
 
@@ -153,8 +153,6 @@ class OracleBudgetExceeded(RuntimeError):
 
 def naive_W_measure(m, psi, theta_on, t0, t1, grid, depth):
     """Full-depth recursive sweep straight from the definition of W."""
-    from ffdioph.ffield import enumerate_shell, strict_below
-
     spec = m.spec
     dom = grid.resolved_domain
     shells = []

@@ -37,6 +37,7 @@ from ffdioph.ffield import (
     GridSpec,
     Laurent,
     Poly,
+    enumerate_box,
     enumerate_shell,
     shell_count,
 )
@@ -276,7 +277,6 @@ def test_criterion_07_intersection_property():
     m = veronese(F3, 2, theta=theta)
     eps = GRAD_EPS_DEFAULT
     delta = Fraction(1, 10)  # < eps/2
-    from ffdioph.ffield import enumerate_box
 
     violations = 0
     pairs = 0

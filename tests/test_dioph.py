@@ -3,6 +3,7 @@ measures of W, the big/small-gradient sets, Phi^f and the transference sets."""
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from ffdioph.ffield import (
     GridSpec,
     Laurent,
     Poly,
+    enumerate_box,
 )
 from ffdioph.dioph import (
     ApproxFn,
@@ -26,11 +28,13 @@ from ffdioph.dioph import (
     best_a0,
     borel_cantelli_sum,
     classify_gradient,
+    enumerate_exact_degrees,
     find_witness,
     in_H_t,
     in_I_t,
     in_phi_f_point,
     in_smallgrad_S_point,
+    lin_comb,
     measure_W,
     measure_bigA,
     measure_phi_f,
@@ -246,10 +250,10 @@ def test_cell_data_fills_gradient_rows_only_on_request():
     filled = {}
     for cell in GridSpec(F3, 2, 3).cells():
         ctx = {}
-        s = WitnessAtom(sd, a, -3, value_theta=False).status(cell, ctx)
+        s = WitnessAtom(sd, a, -3).status(cell, ctx)
         assert [v is not None for v in ctx["mapcell"].vals] == [True, False, False]
         ctx = {}
-        WitnessAtom(sd, a, -3, value_theta=False, grad_lower=0).status(cell, ctx)
+        WitnessAtom(sd, a, -3, grad_lower=0).status(cell, ctx)
         filled[s == OUT] = [v is not None for v in ctx["mapcell"].vals]
     assert filled == {True: [True, False, False], False: [True, True, True]}
 
@@ -259,7 +263,7 @@ def _reference_value_status(data, atom, value=None):
     compare_abs_leq (``value`` replaces the center value of a.f + theta)."""
     if atom.tau >= -1:
         return IN
-    v, var = data.combo(atom.a, 0, atom.value_theta)
+    v, var = data.combo(atom.a, 0)
     if var is not None and var > -1:
         return UNKNOWN
     return compare_abs_leq(frac_exp(v if value is None else value), var, atom.tau)
@@ -289,6 +293,13 @@ def _random_a(rng, spec, n, t):
             return a
 
 
+def _sweeps(m):
+    """One SweepData for a.f + theta and one for a.f (the same one when
+    the map has no theta)."""
+    sd = SweepData(m)
+    return sd, sd if m.theta is None else SweepData(replace(m, theta=None))
+
+
 def _random_cells(rng, dom, depth, paths):
     cells = [dom]
     for _ in range(paths):
@@ -301,7 +312,8 @@ def _random_cells(rng, dom, depth, paths):
 
 def test_packed_value_status_matches_laurent_status():
     # every (atom, cell) pair of small seeded sweeps: atoms of several tau
-    # and shell degrees share one SweepData, so one digit window serves all
+    # and shell degrees share one SweepData per theta setting, so one digit
+    # window serves all
     rng = random.Random(6)
     seen = set()
     for spec in (F2, F3, FieldSpec(5), FieldSpec.from_order(4)):
@@ -311,20 +323,23 @@ def test_packed_value_status_matches_laurent_status():
                 comps = tuple(_random_mpoly(rng, spec, d) for _ in range(n))
                 theta = _random_mpoly(rng, spec, d) if with_theta else None
                 m = AnalyticMap(spec, d, n, comps, theta)
-                sd = SweepData(m)
-                atoms = [WitnessAtom(sd, _random_a(rng, spec, n, t), tau,
-                                     value_theta=with_theta and rng.random() < 0.7)
-                         for t in (0, 1, 2) for tau in (-1, -2, -3, -5)]
-                atoms.append(WitnessAtom(sd, _random_a(rng, spec, n, 1), -3,
-                                         value_theta=with_theta, grad_lower=0))
+                sd, hom = _sweeps(m)
+                atoms = []
+                for t in (0, 1, 2):
+                    for tau in (-1, -2, -3, -5):
+                        a = _random_a(rng, spec, n, t)
+                        on = with_theta and rng.random() < 0.7
+                        atoms.append(WitnessAtom(sd if on else hom, a, tau))
+                atoms.append(WitnessAtom(sd, _random_a(rng, spec, n, 1), -3, grad_lower=0))
                 for cell in _random_cells(rng, m.resolved_domain, 8, 3):
-                    data = MapCellData(sd, cell)
+                    datas = {s: MapCellData(s, cell) for s in (sd, hom)}
                     for atom in atoms:
+                        data = datas[atom.sd]
                         got = atom._value_status(data)
                         assert got == _reference_value_status(data, atom), (spec, cell, atom.a)
                         seen.add(got)
                 with pytest.raises(ValueError):
-                    WitnessAtom(sd, atoms[0].a, -9, value_theta=False)
+                    WitnessAtom(sd, atoms[0].a, -9)
     assert seen == {IN, OUT, UNKNOWN}
 
 
@@ -337,20 +352,21 @@ def test_packed_value_status_precision_parity():
     theta = MPoly.const(F2, 1, Laurent(F2, [(0, 1), (-2, 1)], -4))
     f1 = x + MPoly.const(F2, 1, Laurent(F2, [(-3, 1)], -6))
     m = AnalyticMap(F2, 1, 2, (f1, x * x), theta)
-    sd = SweepData(m)
+    sweeps = _sweeps(m)  # (with theta, without)
     rng = random.Random(7)
-    atoms = [WitnessAtom(sd, _random_a(rng, F2, 2, t), tau, value_theta=th)
+    atoms = [WitnessAtom(sweeps[not th], _random_a(rng, F2, 2, t), tau)
              for t in (0, 1, 2) for tau in (-2, -3, -4, -6) for th in (False, True)
              for _ in range(3)]
     # X^2 f_1 is 0 at x = X^-3 down to its window floor q^-4: reading
     # degree -5 would take the unknown digit of f_1 at -7 for 0
-    atoms.append(WitnessAtom(sd, (Poly.X(F2, 2), Poly.zero(F2)), -6, value_theta=False))
+    atoms.append(WitnessAtom(sweeps[1], (Poly.X(F2, 2), Poly.zero(F2)), -6))
     cells = _random_cells(rng, m.resolved_domain, 8, 4)
     cells += [Ball((Laurent.X(F2, -3),), r) for r in (6, 8)]
     tally = {"both decide": 0, "both raise": 0, "only Laurent raises": 0}
     for cell in cells:
-        data = MapCellData(sd, cell)
+        datas = {s: MapCellData(s, cell) for s in sweeps}
         for atom in atoms:
+            data = datas[atom.sd]
             got = _outcome(atom._value_status, data)
             ref = _outcome(_reference_value_status, data, atom)
             if ref != "raises":
@@ -359,7 +375,7 @@ def test_packed_value_status_precision_parity():
             elif got == "raises":
                 tally["both raise"] += 1
             else:
-                v, _ = data.combo(atom.a, 0, atom.value_theta)
+                v, _ = data.combo(atom.a, 0)
                 for below in (0, 1):
                     done = Laurent(F2, v.terms + ((v.prec - 1, below),))
                     assert got == _reference_value_status(data, atom, done)
@@ -373,7 +389,7 @@ def _reference_grad_status(data, atom, values=None):
     value of d_j(a.f + theta) where given)."""
     comps = []
     for j in range(data.sd.m.d):
-        gv, gvar = data.combo(atom.a, 1 + j, atom.grad_theta)
+        gv, gvar = data.combo(atom.a, 1 + j)
         if values is not None and values[j] is not None:
             gv = values[j]
         comps.append((gv.abs_exp(), gvar))
@@ -405,7 +421,8 @@ def _reference_grad_status(data, atom, values=None):
 
 def test_packed_grad_status_matches_laurent_status():
     # every (atom, cell) pair of small seeded sweeps: gradient atoms of
-    # several thresholds and shell degrees share one SweepData with value atoms
+    # several thresholds and shell degrees share one SweepData per theta
+    # setting with value atoms
     rng = random.Random(7)
     seen = set()
     for spec in (F2, F3, FieldSpec(5), FieldSpec.from_order(4)):
@@ -415,24 +432,23 @@ def test_packed_grad_status_matches_laurent_status():
                 comps = tuple(_random_mpoly(rng, spec, d) for _ in range(n))
                 theta = _random_mpoly(rng, spec, d) if with_theta else None
                 m = AnalyticMap(spec, d, n, comps, theta)
-                sd = SweepData(m)
+                sd, hom = _sweeps(m)
                 atoms = []
                 for t in (0, 1, 2):
                     for bound in (-1, 0, Fraction(3, 4), Fraction(3, 2), -2, 1):
                         kind = "grad_upper_tau" if bound in (-2, 1) else "grad_lower"
                         for _ in range(2):
-                            atoms.append(WitnessAtom(
-                                sd, _random_a(rng, spec, n, t), rng.choice((-1, -3)),
-                                value_theta=with_theta,
-                                grad_theta=with_theta and rng.random() < 0.7,
-                                **{kind: bound}))
-                    atoms.append(WitnessAtom(sd, _random_a(rng, spec, n, t), -1, False,
+                            a, tau = _random_a(rng, spec, n, t), rng.choice((-1, -3))
+                            on = with_theta and rng.random() < 0.7
+                            atoms.append(WitnessAtom(sd if on else hom, a, tau, **{kind: bound}))
+                    atoms.append(WitnessAtom(hom, _random_a(rng, spec, n, t), -1,
                                              grad_upper_tau=0))
-                    atoms.append(WitnessAtom(sd, _random_a(rng, spec, n, t), -1, False,
+                    atoms.append(WitnessAtom(hom, _random_a(rng, spec, n, t), -1,
                                              grad_lower=-1, grad_upper_tau=1))
                 for cell in _random_cells(rng, m.resolved_domain, 8, 3):
-                    data = MapCellData(sd, cell)
+                    datas = {s: MapCellData(s, cell) for s in (sd, hom)}
                     for atom in atoms:
+                        data = datas[atom.sd]
                         got = atom._grad_status(data)
                         assert got == _reference_grad_status(data, atom), (spec, cell, atom.a)
                         seen.add(got)
@@ -448,32 +464,32 @@ def test_digit_windows_fixed_when_columns_are_built():
     sd = SweepData(m)
     a = (Poly.X(F3), Poly.one(F3))
     cell = next(iter(GridSpec(F3, 2, 3).cells()))
-    value = WitnessAtom(sd, a, -3, value_theta=False)
+    value = WitnessAtom(sd, a, -3)
     # a cell that has built no columns fixes nothing: a deeper value floor goes
-    assert WitnessAtom(sd, a, -1, value_theta=False).status(cell, {}) == IN
-    WitnessAtom(sd, a, -5, value_theta=False)
+    assert WitnessAtom(sd, a, -1).status(cell, {}) == IN
+    WitnessAtom(sd, a, -5)
     assert sd.floors[0] == -4 and sd.bases[0] is None and sd.slots is None
     value.status(cell, {})
     assert sd.bases[0] == -4 - a[0].deg and sd.slots is not None
-    WitnessAtom(sd, a, -4, value_theta=False)
+    WitnessAtom(sd, a, -4)
     with pytest.raises(ValueError):
-        WitnessAtom(sd, a, -6, value_theta=False)
+        WitnessAtom(sd, a, -6)
     assert sd.floors[0] == -4
     # the value window is fixed, the gradient window is not: any floor goes
-    first = WitnessAtom(sd, a, -1, value_theta=False, grad_lower=Fraction(1, 2))
-    WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=-2)
+    first = WitnessAtom(sd, a, -1, grad_lower=Fraction(1, 2))
+    WitnessAtom(sd, a, -1, grad_upper_tau=-2)
     assert sd.floors[1] == -1 and sd.bases[1] is None
     first.status(cell, {})
     assert sd.bases[1] == -1 - a[0].deg
     # later registrations that read no lower are accepted
-    WitnessAtom(sd, a, -1, value_theta=False, grad_lower=-1)
-    WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=5)
+    WitnessAtom(sd, a, -1, grad_lower=-1)
+    WitnessAtom(sd, a, -1, grad_upper_tau=5)
     with pytest.raises(ValueError):
-        WitnessAtom(sd, a, -1, value_theta=False, grad_lower=-2)
+        WitnessAtom(sd, a, -1, grad_lower=-2)
     with pytest.raises(ValueError):
-        WitnessAtom(sd, a, -1, value_theta=False, grad_upper_tau=-3)
+        WitnessAtom(sd, a, -1, grad_upper_tau=-3)
     with pytest.raises(ValueError):  # a wider shift widens the slots as well
-        WitnessAtom(sd, (Poly.X(F3, 2), a[1]), -1, value_theta=False, grad_lower=1)
+        WitnessAtom(sd, (Poly.X(F3, 2), a[1]), -1, grad_lower=1)
     assert sd.floors[1] == -1
 
 
@@ -490,10 +506,10 @@ def test_packed_grad_status_precision_parity():
     f2 = MPoly.monomial(F2, 2, (1, 0), e) + x1 * x2
     theta = MPoly.monomial(F2, 2, (0, 1), Laurent(F2, [(-1, 1)], -6))
     m = AnalyticMap(F2, 2, 2, (f1, f2), theta)
-    sd = SweepData(m)
+    sweeps = _sweeps(m)  # (with theta, without)
     rng = random.Random(8)
     one, X = Poly.one(F2), Poly.X(F2)
-    atoms = [WitnessAtom(sd, a, -1, value_theta=False, grad_theta=th, **{kind: bound})
+    atoms = [WitnessAtom(sweeps[not th], a, -1, **{kind: bound})
              for a in ((one, one), (X, X), (one, Poly.zero(F2)))
              for th in (False, True)
              for kind, bound in (("grad_lower", -6), ("grad_lower", -3),
@@ -504,8 +520,9 @@ def test_packed_grad_status_precision_parity():
     cells += [Ball((Laurent.X(F2, -1), Laurent.zero(F2)), r) for r in (3, 6, 8)]
     tally = {"both decide": 0, "both raise": 0, "only Laurent raises": 0}
     for cell in cells:
-        data = MapCellData(sd, cell)
+        datas = {s: MapCellData(s, cell) for s in sweeps}
         for atom in atoms:
+            data = datas[atom.sd]
             got = _outcome(atom._grad_status, data)
             ref = _outcome(_reference_grad_status, data, atom)
             if ref != "raises":
@@ -516,7 +533,7 @@ def test_packed_grad_status_precision_parity():
             else:
                 blank = []
                 for j in range(m.d):
-                    v, _ = data.combo(atom.a, 1 + j, atom.grad_theta)
+                    v, _ = data.combo(atom.a, 1 + j)
                     blank.append([None] if v.terms or v.exact else
                                  [Laurent(F2, [(v.prec - 1, below)]) for below in (0, 1)])
                 for values in itertools.product(*blank):
@@ -557,6 +574,40 @@ def test_biga_ratio_sweep_bounded():
         ratios.append(ratio)
     C = max(ratios)
     assert all(r <= C for r in ratios)
+
+
+def test_biga_theta_in_lambda_is_homogeneous():
+    # theta = X lies in Lambda: a.f + X + a_0 runs over the values of
+    # a.f + a_0, and grad theta = 0, so A_theta = A
+    grid, tvecs = GridSpec(F3, 1, 4), list(itertools.product(range(2), repeat=2))
+    shifted = veronese(F3, 2, theta=MPoly.const(F3, 1, Laurent.X(F3)))
+    hom, _ = measure_bigA(VER, -1, tvecs, Fraction(1, 4), grid)
+    inh, _ = measure_bigA(shifted, -1, tvecs, Fraction(1, 4), grid, theta_on=True)
+    assert hom.certified and inh.certified
+    assert inh.included == hom.included == Fraction(23, 81)
+
+
+def test_biga_theta_matches_pointwise_split():
+    # A_theta for theta = X^-1 x^2 against the centers of the sweep's
+    # depth-7 grid: some a with |a_i| = q^{t_i} has |{a.f + theta}| <
+    # delta q^{-sum t_i} and classify_gradient says "large"
+    m = veronese(F3, 2, theta=MPoly.monomial(F3, 1, (2,), Laurent.X(F3, -1)))
+    grid, tvecs = GridSpec(F3, 1, 4), list(itertools.product(range(2), repeat=2))
+    res, _ = measure_bigA(m, -1, tvecs, Fraction(1, 4), grid, theta_on=True)
+    assert res.certified and res.included == Fraction(25, 81)
+
+    def member(x):
+        fx, th = m.eval(x), m.eval_theta(x)
+        for tvec in tvecs:
+            for a in enumerate_exact_degrees(F3, tvec):
+                e = frac_exp(lin_comb(th, a, fx))
+                if ((e is None or e < -1 - sum(tvec))
+                        and classify_gradient(m, a, x, theta_on=True) == "large"):
+                    return True
+        return False
+
+    hits = sum(member(cell.center) for cell in GridSpec(F3, 1, 7).cells())
+    assert hits * Fraction(1, 3**7) == res.included
 
 
 def test_biga_rejects_bad_eps():
@@ -684,8 +735,6 @@ def test_it_lambda_huge_contains_slab():
 
 def _candidate_alphas(m, x, tvec, lam_exp, eps):
     """Members alpha of I_t at x: a ranges over the degree box, a0 forced."""
-    from ffdioph.ffield import enumerate_box
-
     out = []
     fx = m.eval(x)
     th = m.eval_theta(x)

@@ -1,11 +1,14 @@
-"""Module layout: package imports sit at module top, so the import graph
-of ffdioph stays acyclic by construction rather than by deferred imports,
-every function, class and method the package defines is referenced
-somewhere in the package or its tests, and every imported name is used."""
+"""Module layout: package imports sit at module top, in the package and in
+its tests, so the import graph of ffdioph stays acyclic by construction
+rather than by deferred imports, every function, class and method the
+package defines is referenced somewhere in the package or its tests, every
+imported name is used, and every defaulted parameter has a caller that sets
+it."""
 
 import ast
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ffdioph"
@@ -31,10 +34,11 @@ def _local_package_imports(tree: ast.AST) -> list[tuple[str, int]]:
 def test_no_function_local_package_imports():
     files = sorted(SRC.glob("*.py"))
     assert files, f"no modules under {SRC}"
+    files += sorted((ROOT / "tests").rglob("*.py"))
     offenders = []
     for path in files:
         tree = ast.parse(path.read_text(), filename=str(path))
-        offenders += [f"{path.name}:{line} in {name}()"
+        offenders += [f"{path.relative_to(ROOT)}:{line} in {name}()"
                       for name, line in _local_package_imports(tree)]
     assert not offenders, "function-local package imports: " + ", ".join(offenders)
 
@@ -93,3 +97,51 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(ROOT)}:{line} {name}" for path in paths
               for name, line in _unused_imports(ast.parse(path.read_text(), filename=str(path)))]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[str, Optional[int]]]:
+    """(name, positional index after self/cls, None for keyword-only) of
+    every parameter of ``fn`` that has a default."""
+    pos = fn.args.posonlyargs + fn.args.args
+    skip = int(bool(pos) and pos[0].arg in ("self", "cls"))
+    first_default = len(pos) - len(fn.args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(pos) if i >= first_default]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def test_every_default_is_set_by_a_caller():
+    """Every defaulted parameter of the package is passed, by keyword or by
+    position, at one call site or more in the package or its tests; a call
+    with *args or **kwargs sets every parameter.  Calls are matched by name
+    (a class call is a call of its __init__), so a default that no call of
+    that name sets is an option nobody uses."""
+    defaults = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            owner = getattr(cls, "name", None)
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = owner if fn.name == "__init__" else fn.name
+                    for param, index in _defaulted_params(fn):
+                        where = f"{path.name}:{fn.lineno} {fn.name}({param})"
+                        defaults[name, param, index] = where
+    calls: dict = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if name is None:
+                continue
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (starred, len(node.args), {k.arg for k in node.keywords}))
+    unset = sorted(where for (name, param, index), where in defaults.items()
+                   if not any(starred or param in kws or (index is not None and index < npos)
+                              for starred, npos, kws in calls.get(name, ())))
+    assert not unset, f"{len(unset)} defaults no call sets: " + ", ".join(unset)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ffdioph.ffield import Ball, FieldSpec, GridSpec, Laurent, Poly
-from ffdioph.dioph import ApproxFn, SweepData, in_phi_f_point
+from ffdioph.dioph import ApproxFn, SweepData, in_phi_f_point, measure_phi_f
 from ffdioph.goodfn import measure_union
 from ffdioph.ubiq import (
     ResonantDistAtom,
@@ -156,7 +156,7 @@ def test_dist_atom_sweep_brackets_the_exact_measure_with_quadratic_theta():
 
 def test_params_from_delta():
     p = UbiquityParams.from_delta(-1, 2, 1)
-    assert p.t_prime == 1 and p.k0_exp == -3 and p.k1_exp_resolved == -2
+    assert p.t_prime == 1 and p.k0_exp == -3 and p.k1_exp == -2
     assert p.gamma == 0
     assert p.rho_exp(1) == -5 and p.rho_exp(2) == -8
     assert p.rho_decay_ok()
@@ -252,8 +252,6 @@ def test_covering_line_full_enumeration():
 
 
 def test_covering_dominates_nonphi_veronese():
-    from ffdioph.dioph import measure_phi_f
-
     params = UbiquityParams.from_delta(-1, 2, 1)
     B = Ball.unit(F3, 1, 2)
     rep = covering_fraction(VER, 1, -1, B, params, budget=10**4)

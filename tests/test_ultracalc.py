@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffdioph.ffield import AbsValue, Ball, FieldSpec, Laurent
+from ffdioph.ffield import AbsValue, Ball, FieldSpec, GridSpec, Laurent
 from ffdioph.ultracalc import (
     AnalyticMap,
     MPoly,
@@ -329,8 +329,6 @@ def test_theta_conditions():
 
 def test_ultrametric_mean_value_on_grid():
     # |g(x) - g(y)| <= max(grad bound, second-difference bound) ||x - y||
-    from ffdioph.ffield import GridSpec
-
     m = veronese(F3, 2)
     g = m.components[1]
     cells = list(GridSpec(F3, 1, 3).cells())

@@ -125,8 +125,6 @@ def test_run_qn():
 
 
 def test_run_ubiquity_small():
-    from ffdioph.ultracalc import AnalyticMap
-
     line = AnalyticMap(F3, 1, 1, (MPoly.var(F3, 1, 0),))
     rep = run_ubiquity(line, [1], -1, ApproxFn.power_law(2), Fraction(1), 4)
     assert rep.all_pass
