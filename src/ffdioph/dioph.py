@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -120,12 +120,10 @@ class Witness:
     a: tuple[Poly, ...]
     a0: Poly
     value: Laurent
-    grad_exp: Optional[int]
     shell: int
 
-    def verify(self, m: AnalyticMap, x: Sequence[Laurent], psi: ApproxFn,
-               theta_on: bool = True) -> bool:
-        z = _combo_value(m, self.a, x, theta_on)
+    def verify(self, m: AnalyticMap, x: Sequence[Laurent], psi: ApproxFn) -> bool:
+        z = lin_comb(m.eval_theta(x), self.a, m.eval(x))
         val = z + self.a0.to_laurent()
         bound = psi.exp_at(self.a)
         if bound is None:
@@ -142,15 +140,9 @@ def lin_comb(acc: Laurent, a: Sequence[Poly], vals: Sequence[Laurent]) -> Lauren
     return acc
 
 
-def _combo_value(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent],
-                 theta_on: bool) -> Laurent:
-    return lin_comb(m.eval_theta(x) if theta_on else Laurent.zero(m.spec), a, m.eval(x))
-
-
-def _grad_exp(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent],
-              theta_on: bool) -> Optional[int]:
-    """Exponent of ||grad(a.f (+theta))(x)||, None when the gradient is 0."""
-    g = m.combo(a, None, theta_on)
+def grad_exp(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent]) -> Optional[int]:
+    """Exponent of ||grad(a.f + theta)(x)||, None when the gradient is 0."""
+    g = m.combo(a)
     exps = [g.partial(j).eval(x).abs_exp() for j in range(m.d)]
     return max((e for e in exps if e is not None), default=None)
 
@@ -166,20 +158,21 @@ def find_witness(
     x: Sequence[Laurent],
     psi: ApproxFn,
     t: int,
-    theta_on: bool = True,
 ) -> Optional[Witness]:
-    """First witness in shell order with |f(x).a + a0 + theta| < Psi(a)."""
+    """First witness in shell order with |f(x).a + a0 + theta| < Psi(a); the
+    scan reads |{f(x).a + theta}| and splits the witness alone into parts."""
     bound = psi.exp_at_shell(t)
     if bound is None:
         return None
+    tau = strict_below(bound)
     fx = m.eval(x)
-    th = m.eval_theta(x) if theta_on else Laurent.zero(m.spec)
+    th = m.eval_theta(x)
     for a in enumerate_shell(m.spec, m.n, t):
-        head, tail = lin_comb(th, a, fx).poly_part()
-        e = tail.abs_exp() if not tail.is_zero else None
-        if e is None or Fraction(e) < bound:
-            return Witness(a=a, a0=-head, value=tail,
-                           grad_exp=_grad_exp(m, a, x, theta_on), shell=t)
+        z = lin_comb(th, a, fx)
+        e = frac_exp(z)
+        if e is None or e <= tau:
+            head, tail = z.poly_part()
+            return Witness(a=a, a0=-head, value=tail, shell=t)
     return None
 
 
@@ -243,7 +236,7 @@ class SweepData:
     the map has none), row 1+j their partials d_j; every polynomial has a
     VarTable over the sweep domain.  The sweep measures a.f + theta when the
     map has a theta and a.f when it has none: a homogeneous sweep of a map
-    with theta takes ``dataclasses.replace(m, theta=None)``.
+    with theta takes ``m.homogeneous``.
 
     The witness atoms of the sweep register the parts of the functions they
     read: a_i * f_i for each nonzero a_i, and theta (part key (n, (1,)))
@@ -573,7 +566,6 @@ def _witness_depth(grid: GridSpec, shells: Sequence[int], taus: Sequence[int]) -
 def measure_W(
     m: AnalyticMap,
     psi: ApproxFn,
-    theta_on: bool,
     t0: int,
     t1: int,
     grid: GridSpec,
@@ -591,7 +583,7 @@ def measure_W(
     live = [(t, tau) for t, tau in zip(shells, taus) if tau is not None]
     depth = _witness_depth(grid, [t for t, _ in live], [tau for _, tau in live])
     dom = grid.resolved_domain
-    sd = SweepData(m if theta_on else replace(m, theta=None), dom)
+    sd = SweepData(m, dom)
     atoms: list = []
     labels: list[int] = []
     for t, tau in live:
@@ -625,33 +617,32 @@ def measure_bigA(
     tvecs: Sequence[Sequence[int]],
     eps: Fraction,
     grid: GridSpec,
-    theta_on: bool = False,
     max_depth: Optional[int] = None,
 ) -> tuple[MeasureResult, Fraction]:
-    """Exact measure of the big-gradient set A (or A_theta) over the given
-    coordinate-degree vectors, and the ratio measure/(delta |U|).
+    """Exact measure of the big-gradient set A (A_theta when the map has a
+    theta) over the given coordinate-degree vectors, and the ratio
+    measure/(delta |U|).
 
-    Per a with |a_i| = q^{t_i}: |f.a (+theta) + a_0| < delta q^{-sum t_i}
-    and ||grad(f.a (+theta))|| >= ||a||^{1-eps}.
+    Per a with |a_i| = q^{t_i}: |f.a + theta + a_0| < delta q^{-sum t_i}
+    and ||grad(f.a + theta)|| >= ||a||^{1-eps}.
     """
     eps = Fraction(eps)
     if not (0 < eps < Fraction(1, 2)):
         raise ValueError("need 0 < eps < 1/2")
     dom = grid.resolved_domain
-    sd = SweepData(m if theta_on else replace(m, theta=None), dom)
+    sd = SweepData(m, dom)
     atoms = []
-    worst = 0
+    tmaxes, taus = [], []
     for tvec in tvecs:
         tvec = tuple(tvec)
         tau = strict_below(delta_exp - sum(tvec))
         tmax = max(tvec)
+        tmaxes.append(tmax)
+        taus.append(tau)
         glower = Fraction(tmax) * (1 - eps)
-        worst = max(worst, tmax - min(tau, -1))
         for a in enumerate_exact_degrees(m.spec, tvec):
             atoms.append(WitnessAtom(sd, a, tau, grad_lower=glower))
-    depth = max_depth if max_depth is not None else max(
-        grid.N, dom.radius_exp + worst + 1
-    )
+    depth = max_depth if max_depth is not None else _witness_depth(grid, tmaxes, taus)
     res = measure_union(atoms, dom, depth)
     q = m.spec.q
     delta = Fraction(q) ** delta_exp if delta_exp >= 0 else Fraction(1, q ** -delta_exp)
@@ -664,7 +655,7 @@ def smallgrad_atoms(m: AnalyticMap, t: int, t_prime: int, tvec: Sequence[int],
     """Atoms for the small-gradient set S(t, t', t_1..t_n)."""
     tau_val = strict_below(Fraction(-t))
     tau_grad = strict_below(Fraction(t_prime))
-    sd = SweepData(replace(m, theta=None), domain)
+    sd = SweepData(m.homogeneous, domain)
     return [WitnessAtom(sd, a, tau_val, grad_upper_tau=tau_grad)
             for a in enumerate_box(m.spec, [ti - 1 for ti in tvec])
             if not all(p.is_zero for p in a)]
@@ -720,30 +711,17 @@ def measure_phi_f(
     B: Ball,
 ) -> MeasureResult:
     """Exact measure of Phi^f(t, delta) ∩ B: some ||a|| = q^t with
-    |f(x).a + a_0| < delta q^{-nt}."""
+    |f(x).a + a_0| < delta q^{-nt}, the homogeneous W-set on shell t for
+    Psi(a) = delta ||a||^-n."""
     if t < 1 or delta_exp >= 0:
         raise ValueError("need t >= 1 and 0 < delta < 1")
-    tau = strict_below(delta_exp - m.n * t)
-    sd = SweepData(replace(m, theta=None), B)
-    atoms: list = []
-    if tau >= -1:
-        atoms.append(TrueAtom())
-    else:
-        for a in enumerate_shell(m.spec, m.n, t):
-            atoms.append(WitnessAtom(sd, a, tau))
-    return measure_union(atoms, B, B.radius_exp + t - min(tau, -1) + 1)
+    psi = ApproxFn.power_law(m.n, delta_exp)
+    return measure_W(m.homogeneous, psi, t, t, GridSpec(m.spec, m.d, B.radius_exp, B)).union
 
 
 def in_phi_f_point(m: AnalyticMap, x: Sequence[Laurent], t: int, delta_exp: int) -> bool:
     """Pointwise membership in Phi^f(t, delta)."""
-    tau = strict_below(delta_exp - m.n * t)
-    fx = m.eval(x)
-    zero = Laurent.zero(m.spec)
-    for a in enumerate_shell(m.spec, m.n, t):
-        e = frac_exp(lin_comb(zero, a, fx))
-        if e is None or e <= tau:
-            return True
-    return False
+    return find_witness(m.homogeneous, x, ApproxFn.power_law(m.n, delta_exp), t) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +742,13 @@ def in_I_t(
         raise ValueError("alpha = 0 is excluded from the index set")
     if any(not p.is_zero and p.deg > ti for p, ti in zip(a, tvec)):
         return False
-    return _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, theta_on=True)
+    lam_exp = Fraction(lam_exp)
+    val = lin_comb(m.eval_theta(x), a, m.eval(x)) + a0.to_laurent()
+    e = val.abs_exp()
+    if e is not None and Fraction(e) >= lam_exp + psi0_exp(tvec):
+        return False
+    ge = grad_exp(m, a, x)
+    return ge is None or Fraction(ge) < lam_exp + max(tvec) * (1 - Fraction(eps))
 
 
 def in_H_t(
@@ -775,25 +759,8 @@ def in_H_t(
     lam_exp: Fraction,
     eps: Fraction,
 ) -> bool:
-    """x in H_t(alpha, lambda): homogeneous variant with |a_i| <= q^{t_i}."""
-    a0, a = alpha
-    if a0.is_zero and all(p.is_zero for p in a):
-        raise ValueError("alpha = 0 is excluded from the index set")
-    if any(not p.is_zero and p.deg > ti for p, ti in zip(a, tvec)):
-        return False
-    return _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, theta_on=False)
-
-
-def _it_ht_conditions(m, x, a0, a, tvec, lam_exp, eps, theta_on):
-    lam_exp = Fraction(lam_exp)
-    eps = Fraction(eps)
-    tmax = max(tvec)
-    val = _combo_value(m, a, x, theta_on) + a0.to_laurent()
-    e = val.abs_exp()
-    if e is not None and Fraction(e) >= lam_exp + psi0_exp(tvec):
-        return False
-    ge = _grad_exp(m, a, x, theta_on)
-    return ge is None or Fraction(ge) < lam_exp + tmax * (1 - eps)
+    """x in H_t(alpha, lambda): I_t of the map without theta."""
+    return in_I_t(m.homogeneous, x, alpha, tvec, lam_exp, eps)
 
 
 def phi_delta_exp(delta: Fraction, tvec: Sequence[int]) -> Fraction:
@@ -809,14 +776,13 @@ def classify_gradient(
     m: AnalyticMap,
     a: Sequence[Poly],
     x: Sequence[Laurent],
-    theta_on: bool = True,
 ) -> str:
     """'large' iff ||grad(f.a + theta)(x)|| >= ||a||^(1 - eps) with eps =
     GRAD_EPS_DEFAULT, else 'small'."""
     t = max((p.deg for p in a if not p.is_zero), default=None)
     if t is None:
         raise ValueError("the split needs a nonzero a")
-    ge = _grad_exp(m, a, x, theta_on)
+    ge = grad_exp(m, a, x)
     if ge is None:
         return "small"
     return "large" if Fraction(ge) >= Fraction(t) * (1 - GRAD_EPS_DEFAULT) else "small"

@@ -14,7 +14,7 @@ exactly the successive minima and their product is |det|.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -775,7 +775,7 @@ def qn_short_vector_atoms(
     if tau0 >= 0:
         # a~ = 0 with nonzero a~0 already satisfies everything
         atoms.append(TrueAtom())
-    sd = SweepData(replace(m, theta=None), domain)
+    sd = SweepData(m.homogeneous, domain)
     for a in enumerate_box(spec, bounds):
         if not all(p.is_zero for p in a):
             atoms.append(WitnessAtom(sd, a, tau0, grad_upper_tau=taustar))

@@ -98,7 +98,7 @@ class ResonantFn:
             raise ValueError("the zero tuple is not in F_n")
 
     def with_theta(self) -> MPoly:
-        return self.m.combo(self.a, a0=self.a0, with_theta=True)
+        return self.m.combo(self.a, self.a0)
 
     def a_norm_exp(self) -> Optional[int]:
         """Exponent of ||(a_1..a_n)||, None when the f-part vanishes."""
@@ -642,7 +642,7 @@ def lambda_phi_hits(
                 e = z.abs_exp()
                 psi_e = psi.exp_at_shell(g.a_norm_exp())
                 ok = e is None or (psi_e is not None and Fraction(e) < psi_e)
-                w = Witness(a=g.a, a0=g.a0, value=z, grad_exp=None, shell=g.a_norm_exp())
+                w = Witness(a=g.a, a0=g.a0, value=z, shell=g.a_norm_exp())
                 hits.append((x, g, w, ok))
                 verified = verified and ok
                 break

@@ -10,7 +10,7 @@ refinement reserved for the cancellation cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -482,7 +482,9 @@ def rescale_recenter(g: MPoly, r: int, x1: Sequence[Laurent], l: int) -> MPoly:
 
 @dataclass(frozen=True)
 class AnalyticMap:
-    """A polynomial map f = (f1..fn): U in F^d -> F^n plus a scalar shift theta."""
+    """A polynomial map f = (f1..fn): U in F^d -> F^n plus a scalar shift
+    theta.  Every set is measured with the theta of the map it is given: a
+    map without theta poses the homogeneous problem."""
 
     spec: FieldSpec
     d: int
@@ -515,18 +517,27 @@ class AnalyticMap:
         row = self.components + (self.theta_or_zero,)
         return tuple(tuple(g.partial(j) for g in row) for j in range(self.d))
 
-    def eval_theta(self, x: Sequence[Laurent]) -> Laurent:
-        return self.theta_or_zero.eval(x)
+    @cached_property
+    def homogeneous(self) -> "AnalyticMap":
+        """The map without theta (the map itself when it has none), built
+        once, so its partials are too."""
+        return self if self.theta is None else replace(self, theta=None)
 
-    def combo(self, a: Sequence[Poly], a0: Optional[Poly] = None, with_theta: bool = False) -> MPoly:
-        """The scalar function a . f (+ a0) (+ theta) as an MPoly."""
+    def eval_theta(self, x: Sequence[Laurent]) -> Laurent:
+        """theta(x); the exact 0, evaluating nothing, when the map has none."""
+        if self.theta is None:
+            return Laurent.zero(self.spec)
+        return self.theta.eval(x)
+
+    def combo(self, a: Sequence[Poly], a0: Optional[Poly] = None) -> MPoly:
+        """The scalar function a . f (+ a0) + theta as an MPoly."""
         acc = MPoly.zero(self.spec, self.d)
         for ai, fi in zip(a, self.components):
             if not ai.is_zero:
                 acc = acc + fi.scale(ai.to_laurent())
         if a0 is not None and not a0.is_zero:
             acc = acc + MPoly.const(self.spec, self.d, a0.to_laurent())
-        if with_theta and self.theta is not None:
+        if self.theta is not None:
             acc = acc + self.theta
         return acc
 

@@ -26,6 +26,7 @@ from .dioph import (
     ApproxFn,
     borel_cantelli_sum,
     find_witness,
+    grad_exp,
     in_phi_f_point,
     measure_bigA,
     measure_phi_f,
@@ -251,11 +252,11 @@ def run_khintchine(
     config: Optional[dict] = None,
 ) -> ExperimentReport:
     """Convergence/divergence mechanism: per-shell sums and hit measures,
-    tail measures against tail sums."""
+    tail measures against tail sums; theta_on=False sweeps m.homogeneous."""
     q = m.spec.q
     grid = GridSpec(m.spec, m.d, grid_N, m.resolved_domain)
     bc = borel_cantelli_sum(psi, q, m.n, t1)
-    sweep = measure_W(m, psi, theta_on, t0, t1, grid)
+    sweep = measure_W(m if theta_on else m.homogeneous, psi, t0, t1, grid)
     rows = []
     for t in range(t0, t1 + 1):
         shell = sweep.per_shell[t]
@@ -342,7 +343,7 @@ def run_biggrad(
     for de in delta_exps:
         if de >= 0:
             raise ValueError("delta must satisfy 0 < delta < 1")
-        res, ratio = measure_bigA(m, de, tvecs, eps, grid)
+        res, ratio = measure_bigA(m.homogeneous, de, tvecs, eps, grid)
         certified = certified and res.certified
         rows.append({
             "deltaExp": de,
@@ -615,7 +616,9 @@ def _dispatch(args) -> int:
             }, indent=2))
             return 0
         psi = parse_psi(args.psi)
-        w = find_witness(m, x, psi, args.shell, theta_on=not args.homogeneous)
+        if args.homogeneous:
+            m = m.homogeneous
+        w = find_witness(m, x, psi, args.shell)
         if w is None:
             print(json.dumps({"witness": None}))
             return 0
@@ -623,8 +626,8 @@ def _dispatch(args) -> int:
             "a": [str(p) for p in w.a],
             "a0": str(w.a0),
             "value": str(w.value),
-            "gradExp": w.grad_exp,
-            "verified": w.verify(m, x, psi, theta_on=not args.homogeneous),
+            "gradExp": grad_exp(m, w.a, x),
+            "verified": w.verify(m, x, psi),
         }, indent=2))
         return 0
 
@@ -653,8 +656,7 @@ def _dispatch(args) -> int:
         t0, t1 = _parse_range(args.shells)
         check_budget(m, args.grid, range(t0, t1 + 1), args.force)
         rep = run_khintchine(
-            m, psi, args.grid, t0, t1,
-            theta_on=not args.homogeneous,
+            m.homogeneous if args.homogeneous else m, psi, args.grid, t0, t1,
             config=_config_of(args),
         )
         rep.write(args.out)

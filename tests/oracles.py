@@ -169,14 +169,18 @@ def naive_W_measure(m, psi, theta_on, t0, t1, grid, depth):
         decided_out = True
         fx = m.eval(x)
         th = m.eval_theta(x) if theta_on else Laurent.zero(spec)
+        prods = {}  # (i, a_i) -> a_i * f_i(x), each product made once per cell
         for t, tau in shells:
             if tau >= -1:
                 return 1
             for a in enumerate_shell(spec, m.n, t):
                 z = th
-                for ai, fi in zip(a, fx):
+                for i, ai in enumerate(a):
                     if not ai.is_zero:
-                        z = z + ai.to_laurent() * fi
+                        p = prods.get((i, ai))
+                        if p is None:
+                            p = prods[i, ai] = ai.to_laurent() * fx[i]
+                        z = z + p
                 w = frac_exp(z)
                 var = t - r  # coefficient bound: ||a|| q^{-r} on normalized maps
                 if var > -1:

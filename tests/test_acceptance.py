@@ -342,13 +342,10 @@ def test_criterion_08_borel_cantelli_mechanism():
     # sum_{t>=0} q^{2t}(q^2-1) q^{-3t} = 8 sum 3^{-t} = 8 * 3/2 = 12, exactly
     assert bc.limit == 12
     tails = []
-    sweep = measure_W(VER, psi_c, False, 1, 3, grid5)
+    sweep = measure_W(VER, psi_c, 1, 3, grid5)
     assert sweep.certified
     for T0 in (1, 2, 3):
-        u = sweep.union if T0 == 1 else (
-            sweep.per_shell[3] if T0 == 3 else
-            measure_W(VER, psi_c, False, T0, 3, grid5).union
-        )
+        u = sweep.interval(T0, 3)
         tail_sum = sum(
             shell_count(3, 2, t) * Fraction(1, 3 ** (3 * t)) for t in range(T0, 4)
         )
@@ -367,19 +364,15 @@ def test_criterion_08_borel_cantelli_mechanism():
     psi_d = ApproxFn.power_law(2)
     assert borel_cantelli_sum(psi_d, 3, 2, 3).diverges
     cums = []
-    sweep_d = measure_W(VER, psi_d, False, 1, 3, grid5)
+    sweep_d = measure_W(VER, psi_d, 1, 3, grid5)
     assert sweep_d.certified
     for T1 in (1, 2, 3):
-        u = sweep_d.per_shell[1] if T1 == 1 else (
-            sweep_d.union if T1 == 3 else
-            measure_W(VER, psi_d, False, 1, T1, grid5).union
-        )
-        cums.append(u.measure)
+        cums.append(sweep_d.interval(1, T1).measure)
     assert cums == [GOLDEN_8["div_cum1"], GOLDEN_8["div_cum2"], GOLDEN_8["div_cum3"]]
     assert cums[0] <= cums[1] <= cums[2]
     grid4 = GridSpec(F3, 1, 4)
     for T1 in (1, 2):
-        eng = measure_W(VER, psi_d, False, 1, T1, grid4).union.measure
+        eng = measure_W(VER, psi_d, 1, T1, grid4).union.measure
         orc = naive_W_measure(VER, psi_d, False, 1, T1, grid4, depth=9)
         assert eng == orc
 
@@ -389,7 +382,7 @@ def test_criterion_08_borel_cantelli_mechanism():
     psi_s = ApproxFn(coeff_exp=-2, tau=2)
     scaled = []
     for T1 in (1, 2):
-        eng = measure_W(VER, psi_s, False, 1, T1, grid4).union.measure
+        eng = measure_W(VER, psi_s, 1, T1, grid4).union.measure
         orc = naive_W_measure(VER, psi_s, False, 1, T1, grid4, depth=11)
         assert eng == orc
         scaled.append(eng)

@@ -3,7 +3,6 @@ measures of W, the big/small-gradient sets, Phi^f and the transference sets."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,7 +29,6 @@ from ffdioph.dioph import (
     classify_gradient,
     enumerate_exact_degrees,
     find_witness,
-    in_H_t,
     in_I_t,
     in_phi_f_point,
     in_smallgrad_S_point,
@@ -105,23 +103,23 @@ def test_best_a0_optimal_bruteforce():
 
 
 def test_find_witness_line_example():
-    w = find_witness(LINE2, [Laurent.X(F2, -1)], ApproxFn.power_law(2), 1, theta_on=False)
+    w = find_witness(LINE2, [Laurent.X(F2, -1)], ApproxFn.power_law(2), 1)
     assert w is not None
     assert w.a == (Poly.X(F2),) and w.a0 == Poly.one(F2)
     assert w.value.is_zero
-    assert w.verify(LINE2, [Laurent.X(F2, -1)], ApproxFn.power_law(2), theta_on=False)
+    assert w.verify(LINE2, [Laurent.X(F2, -1)], ApproxFn.power_law(2))
 
 
 def test_find_witness_huge_psi():
     # Psi > 1: the first shell element works with a0 = -[z]
-    w = find_witness(VER, [Laurent.X(F3, -1)], ApproxFn.shell_table([1, 1]), 1, theta_on=False)
+    w = find_witness(VER, [Laurent.X(F3, -1)], ApproxFn.shell_table([1, 1]), 1)
     assert w is not None and w.shell == 1
 
 
 def test_find_witness_none():
     # t=0 over F_2 with Psi = q^-2: constants cannot approximate this center
     x = [Laurent(F2, [(-1, 1)])]
-    w = find_witness(LINE2, x, ApproxFn.shell_table([-2]), 0, theta_on=False)
+    w = find_witness(LINE2, x, ApproxFn.shell_table([-2]), 0)
     assert w is None
 
 
@@ -133,9 +131,9 @@ def test_witness_soundness_random():
     for _ in range(30):
         x = rng.choice(cells).center
         t = rng.randrange(1, 3)
-        w = find_witness(VER, x, psi, t, theta_on=False)
+        w = find_witness(VER, x, psi, t)
         if w is not None:
-            assert w.verify(VER, x, psi, theta_on=False)
+            assert w.verify(VER, x, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +167,26 @@ def test_bc_zero():
 
 def test_w_full_when_psi_large():
     g = GridSpec(F3, 1, 4)
-    rep = measure_W(VER, ApproxFn.shell_table([1, 1]), False, 0, 1, g)
+    rep = measure_W(VER, ApproxFn.shell_table([1, 1]), 0, 1, g)
     assert rep.union.measure == g.resolved_domain.measure()
 
 
 def test_w_zero_psi():
     g = GridSpec(F3, 1, 4)
-    rep = measure_W(VER, ApproxFn.zero_fn(), False, 0, 2, g)
+    rep = measure_W(VER, ApproxFn.zero_fn(), 0, 2, g)
     assert rep.union.measure == 0 and rep.certified
 
 
 def test_w_veronese_golden():
     # frozen from the independent full-depth oracle before wiring the engine
-    rep = measure_W(VER, ApproxFn.power_law(4), False, 1, 1, GridSpec(F3, 1, 5))
+    rep = measure_W(VER, ApproxFn.power_law(4), 1, 1, GridSpec(F3, 1, 5))
     assert rep.certified and rep.union.measure == Fraction(1, 9)
 
 
 def test_w_matches_naive_oracle():
     g = GridSpec(F3, 1, 4)
     for tau in (3, 4):
-        rep = measure_W(VER, ApproxFn.power_law(tau), False, 1, 1, g)
+        rep = measure_W(VER, ApproxFn.power_law(tau), 1, 1, g)
         oracle = naive_W_measure(VER, ApproxFn.power_law(tau), False, 1, 1, g, depth=8)
         assert rep.certified and rep.union.measure == oracle
 
@@ -204,7 +202,7 @@ def test_w_intervals_of_one_sweep_match_naive_oracle():
         (line, ApproxFn.power_law(2), False, GridSpec(F2, 1, 5), 10),
     ]
     for m, psi, theta_on, grid, depth in cases:
-        sweep = measure_W(m, psi, theta_on, 1, 2, grid)
+        sweep = measure_W(m if theta_on else m.homogeneous, psi, 1, 2, grid)
         seen = set()
         for lo, hi in ((1, 1), (1, 2), (2, 2)):
             got = sweep.interval(lo, hi)
@@ -219,11 +217,11 @@ def test_w_subadditive_and_monotone():
     g = GridSpec(F3, 1, 4)
     psi_small = ApproxFn.power_law(4)
     psi_big = ApproxFn.power_law(3)
-    rep = measure_W(VER, psi_small, False, 1, 2, g)
+    rep = measure_W(VER, psi_small, 1, 2, g)
     assert rep.union.measure <= sum(
         (r.measure for r in rep.per_shell.values()), Fraction(0)
     )
-    rep_big = measure_W(VER, psi_big, False, 1, 2, g)
+    rep_big = measure_W(VER, psi_big, 1, 2, g)
     assert rep.union.measure <= rep_big.union.measure
 
 
@@ -234,8 +232,8 @@ def test_w_theta_changes_the_set():
     diffs = 0
     for cell in GridSpec(F3, 1, 4).cells():
         x = cell.center
-        w_hom = find_witness(m, x, psi, 1, theta_on=False)
-        w_inh = find_witness(m, x, psi, 1, theta_on=True)
+        w_hom = find_witness(m.homogeneous, x, psi, 1)
+        w_inh = find_witness(m, x, psi, 1)
         if (w_hom is None) != (w_inh is None):
             diffs += 1
     assert diffs > 0  # the shift genuinely moves the approximable set
@@ -297,7 +295,7 @@ def _sweeps(m):
     """One SweepData for a.f + theta and one for a.f (the same one when
     the map has no theta)."""
     sd = SweepData(m)
-    return sd, sd if m.theta is None else SweepData(replace(m, theta=None))
+    return sd, sd if m.theta is None else SweepData(m.homogeneous)
 
 
 def _random_cells(rng, dom, depth, paths):
@@ -582,7 +580,7 @@ def test_biga_theta_in_lambda_is_homogeneous():
     grid, tvecs = GridSpec(F3, 1, 4), list(itertools.product(range(2), repeat=2))
     shifted = veronese(F3, 2, theta=MPoly.const(F3, 1, Laurent.X(F3)))
     hom, _ = measure_bigA(VER, -1, tvecs, Fraction(1, 4), grid)
-    inh, _ = measure_bigA(shifted, -1, tvecs, Fraction(1, 4), grid, theta_on=True)
+    inh, _ = measure_bigA(shifted, -1, tvecs, Fraction(1, 4), grid)
     assert hom.certified and inh.certified
     assert inh.included == hom.included == Fraction(23, 81)
 
@@ -593,7 +591,7 @@ def test_biga_theta_matches_pointwise_split():
     # delta q^{-sum t_i} and classify_gradient says "large"
     m = veronese(F3, 2, theta=MPoly.monomial(F3, 1, (2,), Laurent.X(F3, -1)))
     grid, tvecs = GridSpec(F3, 1, 4), list(itertools.product(range(2), repeat=2))
-    res, _ = measure_bigA(m, -1, tvecs, Fraction(1, 4), grid, theta_on=True)
+    res, _ = measure_bigA(m, -1, tvecs, Fraction(1, 4), grid)
     assert res.certified and res.included == Fraction(25, 81)
 
     def member(x):
@@ -602,7 +600,7 @@ def test_biga_theta_matches_pointwise_split():
             for a in enumerate_exact_degrees(F3, tvec):
                 e = frac_exp(lin_comb(th, a, fx))
                 if ((e is None or e < -1 - sum(tvec))
-                        and classify_gradient(m, a, x, theta_on=True) == "large"):
+                        and classify_gradient(m, a, x) == "large"):
                     return True
         return False
 
@@ -618,9 +616,9 @@ def test_biga_rejects_bad_eps():
 def test_classify_gradient():
     x = [Laurent.X(F3, -1)]
     a = (Poly.X(F3), Poly.zero(F3))  # grad = X: |X| = q >= q^{1(1-eps)}
-    assert classify_gradient(VER, a, x, theta_on=False) == "large"
+    assert classify_gradient(VER, a, x) == "large"
     a2 = (Poly.zero(F3), Poly.one(F3))  # grad = 2x: q^-1 < q^0
-    assert classify_gradient(VER, a2, x, theta_on=False) == "small"
+    assert classify_gradient(VER, a2, x) == "small"
 
 
 # ---------------------------------------------------------------------------
@@ -750,30 +748,6 @@ def _candidate_alphas(m, x, tvec, lam_exp, eps):
         if in_I_t(m, x, (a0, a), tvec, lam_exp, eps):
             out.append((a0, a))
     return out
-
-
-def test_intersection_property_exhaustive():
-    # I_t(alpha) ∩ I_t(alpha') ⊆ H_t(alpha - alpha') with phi* = phi, on an
-    # exhaustive small instance; zero violations
-    eps = GRAD_EPS_DEFAULT
-    delta = Fraction(1, 10)  # < eps/2
-    violations = 0
-    pairs_checked = 0
-    for tvec in [(1, 1), (1, 2), (2, 2)]:
-        lam = phi_delta_exp(delta, tvec)
-        for cell in GridSpec(F3, 1, 4).cells():
-            x = cell.center
-            members = _candidate_alphas(VER_TH, x, tvec, lam, eps)
-            for (a0, a), (b0, b) in itertools.combinations(members, 2):
-                d0 = a0 - b0
-                dv = tuple(p - r for p, r in zip(a, b))
-                pairs_checked += 1
-                if d0.is_zero and all(p.is_zero for p in dv):
-                    continue
-                if not in_H_t(VER_TH, x, (d0, dv), tvec, lam, eps):
-                    violations += 1
-    assert violations == 0
-    assert pairs_checked > 0  # the test must actually exercise pairs
 
 
 def test_difference_index_nonzero_a_part():

@@ -116,6 +116,16 @@ def test_run_biggrad():
     assert all(Fraction(r["ratio"]) <= C for r in rows)
 
 
+def test_run_biggrad_builds_partials_once(monkeypatch):
+    # a map without theta is its own homogeneous map: the sweeps of both
+    # deltas share its three partials (d_1 f_1, d_1 f_2, d_1 theta)
+    built = []
+    partial = MPoly.partial
+    monkeypatch.setattr(MPoly, "partial", lambda g, j: built.append(j) or partial(g, j))
+    run_biggrad(veronese(F3, 2), [-1, -2], 1, Fraction(1, 4), 4)
+    assert len(built) == 3
+
+
 def test_run_qn():
     m = veronese(F3, 2)
     rep = run_qn(m, 6, 0, (4, 4), [-1, -2, -3], 6)
@@ -142,15 +152,31 @@ def test_cli_approx_eval(capsys, veronese_map):
     assert out["f(x)"][1] == "X^-2 (mod 3, prec 1, exact)"
 
 
+WITNESS_ARGS = ["--point", "X^-1 (mod 3)", "--psi", "q^(-3*t)", "--shell", "1"]
+HOMOGENEOUS_WITNESS = {
+    "a": ["1 (mod 3)", "2*X (mod 3)"],
+    "a0": "0 (mod 3)",
+    "value": "0 (mod 3, prec 1, exact)",
+    "gradExp": 0,
+    "verified": True,
+}
+
+
 def test_cli_witness(capsys, veronese_map):
-    rc = main([
-        "approx", "witness", "--map", str(veronese_map),
-        "--point", "X^-1 (mod 3)", "--psi", "q^(-3*t)", "--shell", "1",
-        "--homogeneous",
-    ])
+    rc = main(["approx", "witness", "--map", str(veronese_map), *WITNESS_ARGS,
+               "--homogeneous"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out.get("witness", "found") != None  # either a witness dict or null
+    assert json.loads(capsys.readouterr().out) == HOMOGENEOUS_WITNESS
+
+
+def test_cli_witness_reads_theta_unless_homogeneous(capsys, tmp_path):
+    p = tmp_path / "shifted.map"
+    p.write_text(MAP_TEXT.replace("theta: 0", "theta: (X^-1)*x1"))
+    assert main(["approx", "witness", "--map", str(p), *WITNESS_ARGS]) == 0
+    shifted = {**HOMOGENEOUS_WITNESS, "a": ["1 (mod 3)", "2*X+2 (mod 3)"]}
+    assert json.loads(capsys.readouterr().out) == shifted
+    assert main(["approx", "witness", "--map", str(p), *WITNESS_ARGS, "--homogeneous"]) == 0
+    assert json.loads(capsys.readouterr().out) == HOMOGENEOUS_WITNESS
 
 
 def test_cli_measure_sublevel(capsys):
