@@ -11,6 +11,7 @@ strict in the paper's sense and normalize to the next lower power of q.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .goodfn import (
     measure_union,
 )
 from .errors import PrecisionError
-from .ultracalc import AnalyticMap, VarTable
+from .ultracalc import AnalyticMap, VarTable, row_combo
 
 # ---------------------------------------------------------------------------
 # approximating functions
@@ -142,8 +143,7 @@ def lin_comb(acc: Laurent, a: Sequence[Poly], vals: Sequence[Laurent]) -> Lauren
 
 def grad_exp(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent]) -> Optional[int]:
     """Exponent of ||grad(a.f + theta)(x)||, None when the gradient is 0."""
-    g = m.combo(a)
-    exps = [g.partial(j).eval(x).abs_exp() for j in range(m.d)]
+    exps = [row_combo(a, row).eval(x).abs_exp() for row in m.partials]
     return max((e for e in exps if e is not None), default=None)
 
 
@@ -159,21 +159,31 @@ def find_witness(
     psi: ApproxFn,
     t: int,
 ) -> Optional[Witness]:
-    """First witness in shell order with |f(x).a + a0 + theta| < Psi(a); the
-    scan reads |{f(x).a + theta}| and splits the witness alone into parts."""
+    """First witness in shell order with |f(x).a + a0 + theta| < Psi(a).
+
+    A point is a cell with zero variation: the shell's witness atoms decide
+    each a on the packed digit columns of f(x) and theta(x), and only the
+    witness is formed as a Laurent value and split into parts."""
     bound = psi.exp_at_shell(t)
     if bound is None:
         return None
-    tau = strict_below(bound)
-    fx = m.eval(x)
-    th = m.eval_theta(x)
-    for a in enumerate_shell(m.spec, m.n, t):
-        z = lin_comb(th, a, fx)
-        e = frac_exp(z)
-        if e is None or e <= tau:
-            head, tail = z.poly_part()
-            return Witness(a=a, a0=-head, value=tail, shell=t)
+    atoms = _shell_atoms(m, t, strict_below(bound))
+    data = MapCellData.at_point(atoms[0].sd, x)
+    vals = data.vals[0]
+    for atom in atoms:
+        if atom._value_status(data) == IN:
+            head, tail = lin_comb(vals[-1], atom.a, vals).poly_part()
+            return Witness(a=atom.a, a0=-head, value=tail, shell=t)
     return None
+
+
+@functools.lru_cache(maxsize=32)
+def _shell_atoms(m: AnalyticMap, t: int, tau: int) -> tuple["WitnessAtom", ...]:
+    """The witness atoms of shell t at threshold q^tau in enumerate_shell
+    order, on one SweepData of the map; built once per (map, t, tau), so
+    every point scan reads the same digit window."""
+    sd = SweepData(m)
+    return tuple(WitnessAtom(sd, a, tau) for a in enumerate_shell(m.spec, m.n, t))
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +330,13 @@ class MapCellData:
     columns when a value condition first reads it, the gradient rows all
     together when a gradient condition first reads them, all in the one
     layout of ``SweepData``; each part's packed product is memoized per
-    (row, part id).
+    (row, part id).  A point is a cell with zero variation (``at_point``):
+    ``find_witness`` reads it through the same columns.
     """
 
     __slots__ = ("sd", "cell", "vals", "vars", "prod", "cols", "packed")
 
-    def __init__(self, sd: SweepData, cell: Ball):
+    def __init__(self, sd: SweepData, cell: Optional[Ball]):
         self.sd = sd
         self.cell = cell
         rows = len(sd.rows)
@@ -334,6 +345,15 @@ class MapCellData:
         self.prod: dict = {}
         self.cols: list = [None] * rows
         self.packed: list = [{} for _ in range(rows)]
+
+    @classmethod
+    def at_point(cls, sd: SweepData, x: Sequence[Laurent]) -> "MapCellData":
+        """The data of the point x, a cell with zero variation: row 0 holds
+        f(x) and theta(x) and every variation is None."""
+        data = cls(sd, None)
+        data.vals[0] = [g.eval(x) for g in sd.rows[0]]
+        data.vars[0] = [None] * len(data.vals[0])
+        return data
 
     @classmethod
     def of(cls, sd: SweepData, cell: Ball, ctx: dict) -> "MapCellData":

@@ -12,8 +12,9 @@ arithmetic; nothing is trusted from the derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import PrecisionError
@@ -31,7 +32,7 @@ from .ffield import (
 from .goodfn import IN, OUT, UNKNOWN, measure_union
 from .dioph import ApproxFn, MapCellData, SweepData, Witness, in_phi_f_point, lin_comb
 from .latdyn import LaurentMatrix, reduce_lattice
-from .ultracalc import AnalyticMap, MPoly, VarTable
+from .ultracalc import AnalyticMap, MPoly, VarTable, row_combo
 
 # ---------------------------------------------------------------------------
 # ultrametric Newton
@@ -97,8 +98,16 @@ class ResonantFn:
         if self.a0.is_zero and all(p.is_zero for p in self.a):
             raise ValueError("the zero tuple is not in F_n")
 
+    @cached_property
     def with_theta(self) -> MPoly:
+        """G = g + theta as an MPoly, built once per function."""
         return self.m.combo(self.a, self.a0)
+
+    @cached_property
+    def partials(self) -> tuple[MPoly, ...]:
+        """d_j G = sum_i a_i d_j f_i + d_j theta for j = 1..d, from the map's
+        cached partials."""
+        return tuple(row_combo(self.a, row) for row in self.m.partials)
 
     def a_norm_exp(self) -> Optional[int]:
         """Exponent of ||(a_1..a_n)||, None when the f-part vanishes."""
@@ -168,13 +177,10 @@ def resonant_gate(g: ResonantFn, U0: Ball) -> bool:
     """
     if U0.radius_exp < 2:
         raise ValueError("gate domain needs diam <= 1/q^2 (radius_exp >= 2)")
-    m = g.m
-    gt = g.with_theta()
-    partials = [gt.partial(j) for j in range(m.d)]
     stack = [U0]
     while stack:
         cell = stack.pop()
-        decided = _gate_cell(partials, cell)
+        decided = _gate_cell(g.partials, cell)
         if decided == OUT:
             return False
         if decided == IN:
@@ -222,8 +228,7 @@ def dist_to_resonant(x: Sequence[Laurent], g: ResonantFn) -> ResonantDistance:
     to |h(root)| <= q^-40.
     """
     spec = g.m.spec
-    gt = g.with_theta()
-    rec = gt.recenter(x)
+    rec = g.with_theta.recenter(x)
     deg1 = max((mm[0] for mm in rec.terms), default=0)
     coeffs = []
     for k in range(deg1 + 1):
@@ -296,12 +301,23 @@ class ResonantDistAtom:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class WitnessConstruction:
+class ResonantBuild:
+    """A resonant function g built near x, with its derivation: the reduced
+    basis sorted by norm, the solved coordinates eta, their polynomial
+    parts and the audit of the short-vector bounds."""
+
     g: ResonantFn
     short_basis: list
     eta: list[Laurent]
     rounded: list[Poly]
     minima_exps: list[int]
+    audit: dict
+
+
+@dataclass
+class WitnessConstruction(ResonantBuild):
+    """A ResonantBuild with its three claims checked at x."""
+
     U0: Ball
     b1: bool
     b2: bool
@@ -309,7 +325,6 @@ class WitnessConstruction:
     beta_exp: int
     dist: AbsValue
     rho_exp: int
-    audit: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -343,30 +358,23 @@ def cell_containing(x: Sequence[Laurent], radius_exp: int) -> Ball:
     return Ball(tuple(center), radius_exp)
 
 
-def construct_resonant_witness(
+def build_resonant_fn(
     m: AnalyticMap,
     x: Sequence[Laurent],
     t: int,
     delta_exp: int,
-    params: Optional[UbiquityParams] = None,
-    check_phi: bool = True,
-) -> WitnessConstruction:
-    """Build g in F_n with the three claims verified computationally:
+    params: UbiquityParams,
+) -> ResonantBuild:
+    """The g in F_n of the construction at x: short vectors of the Minkowski
+    lattice, the linear solve, and the rounding of its solution.
 
-    (B1) |d1(g+theta)| > (1/q - 1/q^2) ||grad(g+theta)|| on U0,
-    (B2) k0* q^t < beta_g <= q^t,
-    (B3) x lies within rho(q^t) of the resonant set R_g.
-
-    Raises if x is resonance-rich (x in Phi^f(t, delta), or the Minkowski
-    body has a vector shorter than delta).
+    Raises AssertionError when the short-vector bounds fail although
+    lambda_1 > delta, and ValueError when the linear system is singular or
+    the rounding gives the zero tuple.
     """
     spec = m.spec
     n = m.n
-    if params is None:
-        params = UbiquityParams.from_delta(delta_exp, n, m.d)
     t_prime = params.t_prime
-    if check_phi and in_phi_f_point(m, x, t, delta_exp):
-        raise ValueError("x is in Phi^f(t, delta): construction hypothesis fails")
     red = reduce_lattice(minkowski_columns(m, x, t))
     minima = red.minima_exps
     # Finite-height reality: x outside Phi^f does not force lambda_1 > delta
@@ -424,7 +432,34 @@ def construct_resonant_witness(
         for k in range(n + 1):
             a_out[k] = a_out[k] + r_i * coefs[k]
     g = ResonantFn(m=m, a0=a_out[0], a=tuple(a_out[1:]))
+    return ResonantBuild(g=g, short_basis=basis, eta=eta, rounded=rounded,
+                         minima_exps=minima, audit=audit)
 
+
+def construct_resonant_witness(
+    m: AnalyticMap,
+    x: Sequence[Laurent],
+    t: int,
+    delta_exp: int,
+    params: Optional[UbiquityParams] = None,
+    check_phi: bool = True,
+) -> WitnessConstruction:
+    """Build g in F_n (build_resonant_fn) with the three claims verified
+    computationally:
+
+    (B1) |d1(g+theta)| > (1/q - 1/q^2) ||grad(g+theta)|| on U0,
+    (B2) k0* q^t < beta_g <= q^t,
+    (B3) x lies within rho(q^t) of the resonant set R_g.
+
+    Raises if x is resonance-rich (x in Phi^f(t, delta), or the Minkowski
+    body has a vector shorter than delta).
+    """
+    if params is None:
+        params = UbiquityParams.from_delta(delta_exp, m.n, m.d)
+    if check_phi and in_phi_f_point(m, x, t, delta_exp):
+        raise ValueError("x is in Phi^f(t, delta): construction hypothesis fails")
+    built = build_resonant_fn(m, x, t, delta_exp, params)
+    g = built.g
     U0 = cell_containing(x, 2)
     b1 = resonant_gate(g, U0)
     beta = g.beta_exp(params.k0_exp)
@@ -432,24 +467,10 @@ def construct_resonant_witness(
     res = dist_to_resonant(x, g)
     rho = params.rho_exp(t)
     b3 = res.dist < AbsValue(rho)
-    gt = g.with_theta()
-    audit["d1_exp"] = gt.partial(0).eval(x).abs_exp()
-    audit["value_exp"] = gt.eval(x).abs_exp()
-    return WitnessConstruction(
-        g=g,
-        short_basis=basis,
-        eta=eta,
-        rounded=rounded,
-        minima_exps=minima,
-        U0=U0,
-        b1=b1,
-        b2=b2,
-        b3=b3,
-        beta_exp=beta,
-        dist=res.dist,
-        rho_exp=rho,
-        audit=audit,
-    )
+    built.audit["d1_exp"] = g.partials[0].eval(x).abs_exp()
+    built.audit["value_exp"] = g.with_theta.eval(x).abs_exp()
+    return WitnessConstruction(**vars(built), U0=U0, b1=b1, b2=b2, b3=b3,
+                               beta_exp=beta, dist=res.dist, rho_exp=rho)
 
 
 def _solve_laurent(rows, rhs, floor_deg: int) -> list[Laurent]:
@@ -503,6 +524,35 @@ def enumerate_family(
     return out
 
 
+def constructed_family(
+    m: AnalyticMap,
+    t: int,
+    delta_exp: int,
+    B: Ball,
+    params: UbiquityParams,
+) -> list[ResonantFn]:
+    """The distinct g that build_resonant_fn gives at the centers of B's
+    cells outside Phi^f(t, delta), in cell order; a center where the build
+    raises ValueError (a singular system or the zero tuple) is skipped.
+
+    A g built at x stays within rho of every point of x's cell once cells
+    are finer than rho, so the centers sit at resolution max(r + 3,
+    1 - rho exponent) for B of radius q^-r: the pointwise inclusion of B
+    minus Phi^f in the union of the rho-neighborhoods carries over."""
+    c_res = max(B.radius_exp + 3, 1 - params.rho_exp(t))
+    family = {}
+    for cell in GridSpec(m.spec, B.d, c_res, B).cells():
+        x = cell.center
+        if in_phi_f_point(m, x, t, delta_exp):
+            continue
+        try:
+            g = build_resonant_fn(m, x, t, delta_exp, params).g
+        except ValueError:
+            continue
+        family.setdefault((g.a0, g.a), g)
+    return list(family.values())
+
+
 @dataclass
 class CoveringReport:
     fraction: Fraction
@@ -529,10 +579,11 @@ def covering_fraction(
     neighborhoods of the resonant sets, within B.
 
     When the full family exceeds the budget the union runs over the
-    subfamily constructed from the non-resonance-rich grid centers; the
-    result is then a certified lower bound, flagged partial.  With B of
-    radius q^-r, the subfamily samples centers at resolution max(r + 3,
-    1 - rho exponent) and the union is decided to depth r + 5 + max(0, -tau).
+    subfamily built at the non-resonance-rich grid centers
+    (constructed_family: only g is built, no claim is checked); the result
+    is then a certified lower bound, flagged partial, since every member's
+    neighborhood is decided cell by cell.  With B of radius q^-r the union
+    is decided to depth r + 5 + max(0, -tau).
     """
     if params is None:
         params = UbiquityParams.from_delta(delta_exp, m.n, m.d)
@@ -543,25 +594,7 @@ def covering_fraction(
     family = enumerate_family(m, params, t, budget=budget)
     partial = family is None
     if family is None:
-        # constructed subfamily: a witness built at x stays within rho of
-        # every point of x's cell once cells are finer than rho, so sampling
-        # at resolution -rho_exp + 1 reproduces the pointwise inclusion
-        family = []
-        seen = set()
-        c_res = max(resolution, -rho + 1)
-        for cell in GridSpec(m.spec, B.d, c_res, B).cells():
-            x = cell.center
-            if in_phi_f_point(m, x, t, delta_exp):
-                continue
-            try:
-                con = construct_resonant_witness(m, x, t, delta_exp, params,
-                                                 check_phi=False)
-            except ValueError:
-                continue
-            key = (con.g.a0, con.g.a)
-            if key not in seen:
-                seen.add(key)
-                family.append(con.g)
+        family = constructed_family(m, t, delta_exp, B, params)
     tau = strict_below(Fraction(rho))
     sd = SweepData(m, B)
     atoms = []
@@ -638,7 +671,7 @@ def lambda_phi_hits(
         for g, tau in per_g:
             rd = dist_to_resonant(x, g)
             if rd.dist <= AbsValue(tau):
-                z = g.with_theta().eval(x)
+                z = g.with_theta.eval(x)
                 e = z.abs_exp()
                 psi_e = psi.exp_at_shell(g.a_norm_exp())
                 ok = e is None or (psi_e is not None and Fraction(e) < psi_e)

@@ -531,15 +531,20 @@ class AnalyticMap:
 
     def combo(self, a: Sequence[Poly], a0: Optional[Poly] = None) -> MPoly:
         """The scalar function a . f (+ a0) + theta as an MPoly."""
-        acc = MPoly.zero(self.spec, self.d)
-        for ai, fi in zip(a, self.components):
-            if not ai.is_zero:
-                acc = acc + fi.scale(ai.to_laurent())
+        acc = row_combo(a, self.components + (self.theta_or_zero,))
         if a0 is not None and not a0.is_zero:
             acc = acc + MPoly.const(self.spec, self.d, a0.to_laurent())
-        if self.theta is not None:
-            acc = acc + self.theta
         return acc
+
+
+def row_combo(a: Sequence[Poly], row: Sequence[MPoly]) -> MPoly:
+    """sum_i a_i row_i + row[-1] over the nonzero a_i, for a row (f_1..f_n,
+    theta) of a map or of its partials."""
+    acc = row[-1]
+    for ai, g in zip(a, row):
+        if not ai.is_zero:
+            acc = acc + g.scale(ai.to_laurent())
+    return acc
 
 
 def veronese(spec: FieldSpec, n: int, theta: Optional[MPoly] = None) -> AnalyticMap:

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths they check: the shortest
 vector oracle triangularizes by polynomial Hermite elimination and then
 enumerates bounded coefficient vectors; the measure oracles sweep cells
-naively from the definitions.
+naively from the definitions; the witness oracle scans a shell with
+Laurent arithmetic.
 """
 
 from __future__ import annotations
@@ -149,6 +150,28 @@ def shortest_vector_oracle(cols, bound_exp, node_budget=50_000):
 
 class OracleBudgetExceeded(RuntimeError):
     pass
+
+
+def laurent_find_witness(m, x, psi, t):
+    """The first a of shell t, in enumerate_shell order, with |{a.f(x) +
+    theta(x)}| < Psi(a), read off the Laurent series of the sum; returns
+    (a, a0, {a.f(x) + theta(x)}) with a0 = -[a.f(x) + theta(x)], or None."""
+    bound = psi.exp_at_shell(t)
+    if bound is None:
+        return None
+    tau = strict_below(bound)
+    fx = m.eval(x)
+    th = m.eval_theta(x)
+    for a in enumerate_shell(m.spec, m.n, t):
+        z = th
+        for ai, v in zip(a, fx):
+            if not ai.is_zero:
+                z = z + ai.to_laurent() * v
+        e = frac_exp(z)
+        if e is None or e <= tau:
+            head, tail = z.poly_part()
+            return a, -head, tail
+    return None
 
 
 def naive_W_measure(m, psi, theta_on, t0, t1, grid, depth):

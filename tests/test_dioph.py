@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_W_measure
+from oracles import laurent_find_witness, naive_W_measure
 
 from ffdioph.ffield import (
     AbsValue,
@@ -17,6 +17,7 @@ from ffdioph.ffield import (
     Laurent,
     Poly,
     enumerate_box,
+    strict_below,
 )
 from ffdioph.dioph import (
     ApproxFn,
@@ -134,6 +135,51 @@ def test_witness_soundness_random():
         w = find_witness(VER, x, psi, t)
         if w is not None:
             assert w.verify(VER, x, psi)
+
+
+def _witness_maps():
+    F4 = FieldSpec.from_order(4)
+    theta = (MPoly.monomial(F3, 1, (2,), Laurent.X(F3, -1))
+             + MPoly.const(F3, 1, Laurent(F3, [(0, 1), (-2, 2), (-3, 1)])))
+    return [LINE2, VER, veronese(F3, 2, theta=theta),
+            AnalyticMap(F4, 1, 1, (MPoly.var(F4, 1, 0),))]
+
+
+def test_find_witness_matches_laurent_oracle():
+    # the packed point scan against the Laurent scan of tests/oracles.py:
+    # exact grid centers and windowed points, shells 0..2, thresholds above
+    # and below 1/q.  The packed scan raises only where the oracle raises;
+    # where only the oracle raises, every fractional digit of the returned
+    # sum is known and zero down to q^(tau+1), so the witness holds for
+    # every completion of the window
+    rng = random.Random(11)
+    tally = {"witness": 0, "no witness": 0, "both raise": 0, "only the oracle raises": 0}
+    for m in _witness_maps():
+        spec = m.spec
+        points = [c.center for c in rng.sample(list(GridSpec(spec, 1, 5).cells()), 8)]
+        for prec in (-2, -3, -5, -8):
+            for _ in range(3):
+                digits = [(k, rng.randrange(spec.q)) for k in range(0, prec, -1)]
+                points.append([Laurent(spec, digits, prec)])
+        for x in points:
+            for t in (0, 1, 2):
+                for bound in (1, Fraction(-1, 2), -2, -3, -5):
+                    psi = ApproxFn.shell_table([bound] * (t + 1))
+                    got = _outcome(find_witness, m, x, psi, t)
+                    ref = _outcome(laurent_find_witness, m, x, psi, t)
+                    if ref != "raises":
+                        if got is not None and ref is not None:
+                            got = (got.a, got.a0, got.value)
+                        assert got == ref, (m, x, t, bound)
+                        tally["no witness" if ref is None else "witness"] += 1
+                    elif got == "raises":
+                        tally["both raise"] += 1
+                    else:
+                        tau = strict_below(bound)
+                        assert got is not None and got.value.prec is not None
+                        assert not got.value.terms and (tau >= -1 or got.value.prec <= tau + 1)
+                        tally["only the oracle raises"] += 1
+    assert all(tally.values()), tally
 
 
 # ---------------------------------------------------------------------------

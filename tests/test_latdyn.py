@@ -498,6 +498,33 @@ def test_qn_probe_agrees_with_membership_at_centers():
     assert seen[IN] and seen[OUT], seen
 
 
+def test_qn_gradient_bound_decides_centers():
+    # t = 3, t' = 0, (t_1, t_2) = (1, 2), eps = 1: on some cells every atom
+    # that meets the value bound fails the gradient bound q^tau*, so tau*
+    # alone puts them outside the union; each decided cell of resolution 6
+    # agrees with the lattice membership of its center
+    m = veronese(F3, 2)
+    D = build_D(build_ceil_eps(3, 0, (1, 2)), 1)
+    B = Ball.unit(F3, 1, 1)
+    eps = Fraction(0)
+    atoms = qn_short_vector_atoms(m, D, eps, domain=B)
+    res = measure_union(atoms, B, 10)
+    assert res.certified and res.included == Fraction(1, 9)
+    by_gradient = 0
+    for cell in GridSpec(F3, 1, 6, B).cells():
+        ctx: dict = {}
+        statuses = {atom.status(cell, ctx) for atom in atoms}
+        union = IN if IN in statuses else OUT if statuses == {OUT} else UNKNOWN
+        if union == UNKNOWN:
+            continue
+        member, _, _ = qn_membership(m, cell.center, D, eps)
+        assert member == (union == IN), cell
+        data = ctx["mapcell"]
+        if union == OUT and any(atom._value_status(data) == IN for atom in atoms):
+            by_gradient += 1
+    assert by_gradient > 0
+
+
 def test_symbolic_wedge_matches_numeric():
     # the symbolic pi components of h(x)Delta, evaluated at a point, must
     # reproduce the numeric wedge of the D U_x images (the expanded-formula

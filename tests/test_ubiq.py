@@ -14,6 +14,7 @@ from ffdioph.ubiq import (
     ResonantFn,
     UbiquityParams,
     construct_resonant_witness,
+    constructed_family,
     covering_fraction,
     dist_to_resonant,
     lambda_phi_hits,
@@ -210,7 +211,7 @@ def test_construction_with_theta():
         assert con.all_ok
         # the constructed g really vanishes near x: re-verify through the
         # evaluated function, not the construction bookkeeping
-        val = con.g.with_theta().eval(x)
+        val = con.g.with_theta.eval(x)
         e = val.abs_exp()
         assert e is None or e <= params.t_prime * m.n - m.n - 2
         done += 1
@@ -263,6 +264,26 @@ def test_covering_dominates_nonphi_veronese():
     # the pointwise inclusion B \ Phi^f subset union Delta(R_g, rho), with
     # the constructed family sampled finer than rho, in exact measure
     assert rep.measure >= non_phi
+
+
+def test_constructed_family_is_the_constructions_g():
+    # covering_fraction builds only g at each center: its family is the set
+    # of g of the full construction (claims checked) over the same non-Phi
+    # centers, in cell order, and the members that pass the gate on B are
+    # the atoms of its union
+    B = Ball.unit(F3, 1, 2)
+    for m in (VER, LINE3):
+        params = UbiquityParams.from_delta(-1, m.n, m.d)
+        family = constructed_family(m, 1, -1, B, params)
+        c_res = max(B.radius_exp + 3, 1 - params.rho_exp(1))
+        want = {}
+        for cell in GridSpec(F3, 1, c_res, B).cells():
+            if not in_phi_f_point(m, cell.center, 1, -1):
+                g = construct_resonant_witness(m, cell.center, 1, -1, params).g
+                want.setdefault(g, g)
+        assert family == list(want) and len(family) > 1
+        rep = covering_fraction(m, 1, -1, B, params, budget=10)
+        assert rep.partial and rep.family_size == sum(resonant_gate(g, B) for g in family)
 
 
 # ---------------------------------------------------------------------------
