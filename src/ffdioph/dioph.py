@@ -258,8 +258,9 @@ class SweepData:
     digit in the digit's slot r); multiplying by X^j shifts a column j
     digits up.  A packed sum of
     theta's column and, per part, alpha_{j,e} times its shifted columns
-    holds at most (p-1) + n(jmax+1)b(p-1)^2 in a slot, so s bits never
-    carry, and it holds every digit from the kind's floor up.  The slots
+    holds at most (p-1) + n(jmax+1)b(p-1)^2 in a slot, and (p-1) more
+    with a packed constant a0 (``pack``), so s bits never carry, and it
+    holds every digit from the kind's floor up.  The slots
     (s, s*b, slot mask, slot table) are fixed when a cell first builds
     columns, a kind's base when a cell first builds that kind's columns; a
     later registration that would widen a fixed window raises ValueError."""
@@ -311,7 +312,7 @@ class SweepData:
         if self.slots is None:
             K = self.m.spec
             p, b = K.p, K.b
-            s = ((p - 1) + self.m.n * (self.jmax + 1) * b * (p - 1) ** 2).bit_length()
+            s = (2 * (p - 1) + self.m.n * (self.jmax + 1) * b * (p - 1) ** 2).bit_length()
             # slot[e][c]: the b packed F_p coordinates of u^e * c (u^e encodes as p^e)
             slot = [[sum((K.mul(p**e, c) // p**r % p) << (s * r) for r in range(b))
                      for c in K.elements()] for e in range(b)]
@@ -320,21 +321,46 @@ class SweepData:
             self.bases[kind] = self.floors[kind] - self.jmax
         return self.bases[kind]
 
+    def pack(self, a0: Poly) -> int:
+        """The digits of the polynomial a0 in the columns of row 0."""
+        base = self.fix(0)
+        sb, slot = self.slots[1], self.slots[3][0]
+        return sum(slot[c] << sb * (k - base)
+                   for k, c in enumerate(a0.coeffs) if k >= base)
+
+    def top_digit(self, val: int, deg: int, prec: float, kind: int) -> Optional[int]:
+        """The degree of the top nonzero digit of the packed sum val of a row
+        of ``kind`` at a degree >= deg, None when it has none there.  Digits
+        below the horizon prec are unknown: when they are the only ones left
+        to read, PrecisionError is raised."""
+        start = deg if deg >= prec else prec
+        s, sb = self.slots[:2]
+        p, b = self.m.spec.p, self.m.spec.b
+        val >>= (start - self.bases[kind]) * sb
+        while val:
+            k = (val.bit_length() - 1) // s  # the top nonzero slot
+            top = val >> k * s
+            if top % p:
+                return start + k // b
+            val ^= top << k * s
+        if start > deg:
+            raise PrecisionError("digits indistinguishable from 0")
+        return None
+
 
 class MapCellData:
     """Per-cell cache shared by all atoms of a sweep over one map.
 
     A row's values at the cell center and its variation bounds at the cell
-    radius are evaluated the first time an atom asks for the row; products
-    a_i * value are memoized per (row, i, a_i).  Row 0 is packed into digit
-    columns when a value condition first reads it, the gradient rows all
-    together when a gradient condition first reads them, all in the one
-    layout of ``SweepData``; each part's packed product is memoized per
-    (row, part id).  A point is a cell with zero variation (``at_point``):
-    ``find_witness`` reads it through the same columns.
+    radius are evaluated, and packed into digit columns in the one layout
+    of ``SweepData``, the first time an atom reads the row; each part's
+    packed product is memoized per (row, part id).  Every cell condition
+    reads these columns: the witness atoms and ``ubiq.ResonantDistAtom``.
+    A point is a cell with zero variation (``at_point``): ``find_witness``
+    reads it through the same columns.
     """
 
-    __slots__ = ("sd", "cell", "vals", "vars", "prod", "cols", "packed")
+    __slots__ = ("sd", "cell", "vals", "vars", "cols", "packed")
 
     def __init__(self, sd: SweepData, cell: Optional[Ball]):
         self.sd = sd
@@ -342,7 +368,6 @@ class MapCellData:
         rows = len(sd.rows)
         self.vals: list = [None] * rows
         self.vars: list = [None] * rows
-        self.prod: dict = {}
         self.cols: list = [None] * rows
         self.packed: list = [{} for _ in range(rows)]
 
@@ -370,28 +395,6 @@ class MapCellData:
             vals = self.vals[row] = [g.eval(center) for g in self.sd.rows[row]]
             self.vars[row] = [vt.var_exp(r) for vt in self.sd.tables[row]]
         return vals
-
-    def combo(self, a: Sequence[Poly], row: int) -> tuple[Laurent, Optional[int]]:
-        """(value at the center, variation bound exponent) of a . row plus
-        the row's theta entry (0 when the map has no theta)."""
-        vals = self._row(row)
-        vars_ = self.vars[row]
-        acc, var = vals[-1], vars_[-1]
-        prod = self.prod
-        for i, ai in enumerate(a):
-            if ai.is_zero:
-                continue
-            key = (row, i, ai)
-            p = prod.get(key)
-            if p is None:
-                p = prod[key] = ai.to_laurent() * vals[i]
-            acc = acc + p
-            vi = vars_[i]
-            if vi is not None:
-                e = ai.deg + vi
-                if var is None or e > var:
-                    var = e
-        return acc, var
 
     def packed_sum(self, pids: Sequence[int], row: int) -> tuple[int, float, float]:
         """(packed digits, variation exponent, knowledge horizon) of the sum
@@ -421,23 +424,21 @@ class MapCellData:
         return acc, var + deg, prec + deg
 
     def _columns(self, row: int) -> list:
-        """The columns of row 0, or of every gradient row at once."""
-        sd = self.sd
-        base = sd.fix(min(row, 1))
-        _, sb, _, slot = sd.slots
-        for r in (range(1, len(sd.rows)) if row else (0,)):
-            cols = []
-            for v, var in zip(self._row(r), self.vars[r]):
-                col = [0] * len(slot)
-                for k, c in v.terms:
-                    if k < base:
-                        break
-                    for e, digit in enumerate(slot):
-                        col[e] += digit[c] << sb * (k - base)
-                cols.append((col, _NEG_INF if var is None else var,
-                             _NEG_INF if v.prec is None else v.prec))
-            self.cols[r] = cols
-        return self.cols[row]
+        """The columns of one row."""
+        base = self.sd.fix(min(row, 1))
+        _, sb, _, slot = self.sd.slots
+        cols = []
+        for v, var in zip(self._row(row), self.vars[row]):
+            col = [0] * len(slot)
+            for k, c in v.terms:
+                if k < base:
+                    break
+                for e, digit in enumerate(slot):
+                    col[e] += digit[c] << sb * (k - base)
+            cols.append((col, _NEG_INF if var is None else var,
+                         _NEG_INF if v.prec is None else v.prec))
+        self.cols[row] = cols
+        return cols
 
 
 class WitnessAtom:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import PrecisionError
 from .ffield import (
@@ -227,35 +227,34 @@ def dist_to_resonant(x: Sequence[Laurent], g: ResonantFn) -> ResonantDistance:
     whenever the Hensel condition holds; the root itself comes from Newton,
     to |h(root)| <= q^-40.
     """
-    spec = g.m.spec
     rec = g.with_theta.recenter(x)
     deg1 = max((mm[0] for mm in rec.terms), default=0)
-    coeffs = []
-    for k in range(deg1 + 1):
-        key = tuple([k] + [0] * (g.m.d - 1))
-        c = rec.terms.get(key)
-        coeffs.append(c if c is not None else Laurent.zero(spec))
-    h0 = coeffs[0]
-    if h0.is_zero:
+    zero, axis = Laurent.zero(g.m.spec), (0,) * (g.m.d - 1)
+    coeffs = [rec.terms.get((k,) + axis, zero) for k in range(deg1 + 1)]
+    if coeffs[0].is_zero:
         return ResonantDistance(AbsValue.zero(), tuple(x))
     eta = newton_root_1d(coeffs, prec=40)
-    root = list(x)
-    root[0] = x[0] + eta
-    dist = eta.abs_value()
-    return ResonantDistance(dist, tuple(root))
+    return ResonantDistance(eta.abs_value(), (x[0] + eta,) + tuple(x[1:]))
 
 
 class ResonantDistAtom:
-    """Cell atom for dist(x, R_g) <= q^tau along the first axis.
+    """Cell atom for dist(x, R_g) <= q^tau along the first axis, on cells of
+    radius down to q^-max_depth.
 
     Pointwise, dist(x) = |G(x)| / |d1 G(x)| with G = g + theta, valid when
     the order >= 2 terms are dominated (checked exactly per cell); the
     condition becomes a sublevel condition on G at threshold tau + |d1 G|.
+    |d1 G(c)| and |G(c)| are the top nonzero digits of packed sums of the
+    cell's columns: row 1, and row 0 plus a0.  d1 G is read down to its
+    variation + 1, below which |d1 G| is undecided, and G down to
+    tau + |d1 G| + 1, below which the decision does not depend on the
+    digits; both floors are lowest at the variation of d1 G at radius
+    q^-max_depth.  A constant d1 G is read down to its exact top digit.
     """
 
-    __slots__ = ("g", "tau", "sd", "sec")
+    __slots__ = ("g", "tau", "sd", "sec", "floor", "parts", "a0")
 
-    def __init__(self, g: ResonantFn, tau: int, sd: SweepData):
+    def __init__(self, g: ResonantFn, tau: int, sd: SweepData, max_depth: int):
         self.g = g
         self.tau = tau
         self.sd = sd
@@ -263,36 +262,51 @@ class ResonantDistAtom:
         tables = sd.tables[0]
         parts = [(vt, ai.deg) for ai, vt in zip(g.a, tables) if not ai.is_zero]
         self.sec = VarTable.fold(parts + [(tables[-1], 0)], min_weight=2)
+        # the lowest degree a cell reads of d1 G, None when d1 G vanishes
+        tables = sd.tables[1]
+        exps = [(vt.var_exp(max_depth), ai.deg) for ai, vt in zip(g.a, tables) if not ai.is_zero]
+        exps.append((tables[-1].var_exp(max_depth), 0))
+        var1 = max((v + k for v, k in exps if v is not None), default=None)
+        if var1 is not None:
+            self.floor = var1 + 1
+        else:  # d1 G is a constant c: read down to its top digit, or below
+            # its window when no digit of it is known, where the read raises
+            c = g.partials[0].terms.get((0,) * g.m.d)
+            self.floor = None if c is None else c.top_deg if c.terms else c.prec - 1
+        self.a0 = None  # a0 in row 0's columns, packed at the first read
+        if self.floor is not None:
+            sd.register(g.a, 1, self.floor)
+            self.parts = sd.register(g.a, 0, tau + self.floor + 1)
 
     def status(self, cell: Ball, ctx: dict) -> int:
-        data = MapCellData.of(self.sd, cell, ctx)
-        v, vvar = data.combo(self.g.a, 0)
-        v = v + self.g.a0.to_laurent()
-        g1, g1var = data.combo(self.g.a, 1)
-        g1_exp = g1.abs_exp()
-        if g1_exp is None or (g1var is not None and g1_exp <= g1var):
+        if self.floor is None:
             return UNKNOWN
-        thr = self.tau + g1_exp
-        v_exp = v.abs_exp()
+        sd = self.sd
+        data = MapCellData.of(sd, cell, ctx)
+        val, var, prec = data.packed_sum(self.parts, 1)
+        g1 = sd.top_digit(val, max(var + 1, self.floor), prec, 1)
+        if g1 is None:
+            return UNKNOWN  # |d1 G| does not dominate its variation
+        thr = self.tau + g1
+        if self.a0 is None:
+            self.a0 = sd.pack(self.g.a0)
+        val, vvar, prec = data.packed_sum(self.parts, 0)
+        v = sd.top_digit(val + self.a0, thr + 1, prec, 0)
         # the order >= 2 aggregate of G at joint displacement scale
         # q^max(tau, -r) around any cell point
         sec = self.sec.var_exp(min(-self.tau, cell.radius_exp))
-        if v_exp is not None and (vvar is None or v_exp > vvar):
-            # |G| is constant = q^v_exp on the cell
-            if v_exp > thr:
-                # no root within q^tau of any x iff order >= 2 cannot fake
-                # one: a term as large as |G| could cancel it
-                if sec is None or sec < v_exp:
-                    return OUT
-                return UNKNOWN
-            # a root lies within |G|/|d1 G| <= q^tau of every x (Hensel),
-            # once the order >= 2 terms stay below |d1 G| q^tau there
-            if sec is None or sec < thr:
-                return IN
+        if v is not None:
+            # |G| = q^v > q^thr; when it is constant on the cell, no root
+            # lies within q^tau of any x iff order >= 2 cannot fake one: a
+            # term as large as |G| could cancel it
+            if v > vvar and (sec is None or sec < v):
+                return OUT
             return UNKNOWN
-        if v_exp is None or v_exp <= thr:
-            if (vvar is None or vvar <= thr) and (sec is None or sec < thr):
-                return IN
+        # |G| <= q^thr on the cell once its variation is: a root lies within
+        # |G|/|d1 G| <= q^tau of every x (Hensel), once the order >= 2 terms
+        # stay below |d1 G| q^tau there
+        if vvar <= thr and (sec is None or sec < thr):
+            return IN
         return UNKNOWN
 
 
@@ -334,18 +348,11 @@ class WitnessConstruction(ResonantBuild):
 def minkowski_columns(m: AnalyticMap, x: Sequence[Laurent], t: int) -> list:
     """Columns of the lattice whose unit ball is the strict body
     {|a_0 + a.f(x)| < q^{-nt}, |a_i| <= q^t} (first row scaled by X^{nt+1})."""
-    spec = m.spec
-    n = m.n
-    fx = m.eval(x)
-    zero = Laurent.zero(spec)
-    cols = []
-    col0 = [Laurent.X(spec, n * t + 1)] + [zero] * n
-    cols.append(tuple(col0))
-    for i in range(n):
-        col = [fx[i].shift(n * t + 1)]
-        for j in range(n):
-            col.append(Laurent.X(spec, -t) if j == i else zero)
-        cols.append(tuple(col))
+    n, zero = m.n, Laurent.zero(m.spec)
+    cols = [(Laurent.X(m.spec, n * t + 1),) + (zero,) * n]
+    for i, v in enumerate(m.eval(x)):
+        cols.append((v.shift(n * t + 1),) + tuple(Laurent.X(m.spec, -t) if j == i else zero
+                                                   for j in range(n)))
     return cols
 
 
@@ -420,10 +427,7 @@ def build_resonant_fn(
         rows.append(tuple(cf[i].to_laurent() for cf in gs))
         rhs.append(Laurent.zero(spec))
     eta = _solve_laurent(rows, rhs, floor_deg=-4)
-    rounded = []
-    for e in eta:
-        head, _ = e.poly_part()
-        rounded.append(head)
+    rounded = [e.poly_part()[0] for e in eta]
 
     a_out = [Poly.zero(spec) for _ in range(n + 1)]
     for r_i, coefs in zip(rounded, gs):
@@ -553,6 +557,23 @@ def constructed_family(
     return list(family.values())
 
 
+def gate_family(family: Iterable[ResonantFn], dom: Ball) -> tuple[list[ResonantFn], int]:
+    """The members with a != 0 whose gate holds on dom, and the number of
+    members left out because their gate certification raised
+    PrecisionError; a union over the rest is still a certified lower
+    bound."""
+    kept, skipped = [], 0
+    for g in family:
+        if g.a_norm_exp() is None:
+            continue
+        try:
+            if resonant_gate(g, dom):
+                kept.append(g)
+        except PrecisionError:
+            skipped += 1
+    return kept, skipped
+
+
 @dataclass
 class CoveringReport:
     fraction: Fraction
@@ -561,6 +582,7 @@ class CoveringReport:
     ball_measure: Fraction
     partial: bool            # True when only a constructed subfamily was used
     family_size: int
+    gate_skipped: int        # members whose gate raised PrecisionError
 
     @property
     def certified(self) -> bool:
@@ -596,18 +618,11 @@ def covering_fraction(
     if family is None:
         family = constructed_family(m, t, delta_exp, B, params)
     tau = strict_below(Fraction(rho))
+    depth = resolution + max(0, -tau) + 2
     sd = SweepData(m, B)
-    atoms = []
-    for g in family:
-        if g.a_norm_exp() is None:
-            continue
-        try:
-            if not resonant_gate(g, B):
-                continue
-        except PrecisionError:
-            continue
-        atoms.append(ResonantDistAtom(g, tau, sd))
-    res = measure_union(atoms, B, resolution + max(0, -tau) + 2)
+    kept, skipped = gate_family(family, B)
+    atoms = [ResonantDistAtom(g, tau, sd, depth) for g in kept]
+    res = measure_union(atoms, B, depth)
     bm = B.measure()
     return CoveringReport(
         fraction=res.included / bm,
@@ -616,6 +631,7 @@ def covering_fraction(
         ball_measure=bm,
         partial=partial,
         family_size=len(atoms),
+        gate_skipped=skipped,
     )
 
 
@@ -624,8 +640,8 @@ class LambdaPhiReport:
     measure: Fraction
     undecided: Fraction
     hits: list            # (cell center, g, witness) samples
-    partial: bool
     all_hits_verified: bool
+    gate_skipped: int     # members whose gate raised PrecisionError
 
 
 def lambda_phi_hits(
@@ -644,37 +660,24 @@ def lambda_phi_hits(
         raise ValueError("family too large; lower T or raise the budget")
     dom = grid.resolved_domain
     gate_dom = dom if dom.radius_exp >= 2 else cell_containing(dom.center, 2)
+    depth = grid.N + 6
     sd = SweepData(m, dom)
-    atoms = []
-    per_g = []
-    for g in family:
-        e = g.a_norm_exp()
-        if e is None:
-            continue
-        # phi(beta_g) = psi(||a||)/||a||
-        psi_exp = psi.exp_at_shell(e)
-        if psi_exp is None:
-            continue
-        tau = strict_below(psi_exp - e)
-        try:
-            if not resonant_gate(g, gate_dom):
-                continue
-        except (PrecisionError, ValueError):
-            continue
-        atoms.append(ResonantDistAtom(g, tau, sd))
-        per_g.append((g, tau))
-    res = measure_union(atoms, dom, grid.N + 6)
+    live = (g for g in family
+            if g.a_norm_exp() is not None and psi.exp_at_shell(g.a_norm_exp()) is not None)
+    kept, skipped = gate_family(live, gate_dom)
+    # phi(beta_g) = psi(||a||)/||a||
+    per_g = [(g, strict_below(psi.exp_at_shell(g.a_norm_exp()) - g.a_norm_exp())) for g in kept]
+    atoms = [ResonantDistAtom(g, tau, sd, depth) for g, tau in per_g]
+    res = measure_union(atoms, dom, depth)
     hits = []
     verified = True
     for cell in grid.cells():
         x = cell.center
         for g, tau in per_g:
-            rd = dist_to_resonant(x, g)
-            if rd.dist <= AbsValue(tau):
+            if dist_to_resonant(x, g).dist <= AbsValue(tau):
                 z = g.with_theta.eval(x)
                 e = z.abs_exp()
-                psi_e = psi.exp_at_shell(g.a_norm_exp())
-                ok = e is None or (psi_e is not None and Fraction(e) < psi_e)
+                ok = e is None or Fraction(e) < psi.exp_at_shell(g.a_norm_exp())
                 w = Witness(a=g.a, a0=g.a0, value=z, shell=g.a_norm_exp())
                 hits.append((x, g, w, ok))
                 verified = verified and ok
@@ -683,8 +686,8 @@ def lambda_phi_hits(
         measure=res.included,
         undecided=res.undecided,
         hits=hits,
-        partial=False,
         all_hits_verified=verified,
+        gate_skipped=skipped,
     )
 
 
@@ -740,16 +743,10 @@ def ubiquity_sum(
     slope = -sexp * (1 + tau) + (d - gamma) * (params.n + 1)
     diverges = slope >= 0
     closed = None
-    if not diverges and terms:
+    if not diverges and terms and slope.denominator == 1:
         # geometric with ratio q^slope < 1 from t = 1
-        r_exp = slope
-        if r_exp.denominator == 1 and terms:
-            first = terms[0]
-            ratio = Fraction(q ** int(r_exp)) if r_exp >= 0 else Fraction(1, q ** int(-r_exp))
-            closed = first / (1 - ratio)
+        closed = terms[0] / (1 - Fraction(q) ** int(slope))
     # Khintchine-side series
-    kh_total = None
-    kh_div = None
     expo = s + 1 - d
     kh_slope = params.n + 1 + expo * (-tau - 1)
     kh_div = kh_slope >= 0

@@ -464,6 +464,7 @@ def run_ubiquity(
             "nonPhiFraction": str(non_phi_frac),
             "familySize": rep.family_size,
             "partialFamily": rep.partial,
+            "gateSkipped": rep.gate_skipped,
             "claimsOk": all_b,
         })
         if witness is not None:

@@ -3,8 +3,8 @@
 These deliberately avoid the production code paths they check: the shortest
 vector oracle triangularizes by polynomial Hermite elimination and then
 enumerates bounded coefficient vectors; the measure oracles sweep cells
-naively from the definitions; the witness oracle scans a shell with
-Laurent arithmetic.
+naively from the definitions; the witness oracle scans a shell, and the
+cell references decide a cell, with Laurent arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from ffdioph.ffield import Laurent, Poly, enumerate_shell, strict_below
-from ffdioph.goodfn import frac_exp
+from ffdioph.goodfn import IN, OUT, UNKNOWN, frac_exp
 
 
 def laurent_cols_to_poly(cols):
@@ -231,3 +231,42 @@ def naive_W_measure(m, psi, theta_on, t0, t1, grid, depth):
 
     rec(dom)
     return total
+
+
+def laurent_combo(data, a, row):
+    """(value at the cell center, variation bound exponent) of a . row plus
+    the row's theta entry (0 when the map has no theta), as Laurent
+    products of the cell's row values."""
+    vals = data._row(row)
+    vars_ = data.vars[row]
+    acc, var = vals[-1], vars_[-1]
+    for ai, v, vi in zip(a, vals, vars_):
+        if ai.is_zero:
+            continue
+        acc = acc + ai.to_laurent() * v
+        if vi is not None and (var is None or ai.deg + vi > var):
+            var = ai.deg + vi
+    return acc, var
+
+
+def laurent_dist_status(atom, data, cell):
+    """The status of a ubiq.ResonantDistAtom on the cell from Laurent values
+    of G = a.f + a0 + theta and d1 G at the center."""
+    v, vvar = laurent_combo(data, atom.g.a, 0)
+    v = v + atom.g.a0.to_laurent()
+    g1, g1var = laurent_combo(data, atom.g.a, 1)
+    g1_exp = g1.abs_exp()
+    if g1_exp is None or (g1var is not None and g1_exp <= g1var):
+        return UNKNOWN
+    thr = atom.tau + g1_exp
+    v_exp = v.abs_exp()
+    sec = atom.sec.var_exp(min(-atom.tau, cell.radius_exp))
+    if v_exp is not None and (vvar is None or v_exp > vvar):
+        # |G| is constant = q^v_exp on the cell
+        if v_exp > thr:
+            return OUT if sec is None or sec < v_exp else UNKNOWN
+        return IN if sec is None or sec < thr else UNKNOWN
+    if v_exp is None or v_exp <= thr:
+        if (vvar is None or vvar <= thr) and (sec is None or sec < thr):
+            return IN
+    return UNKNOWN

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laurent_find_witness, naive_W_measure
+from oracles import laurent_combo, laurent_find_witness, naive_W_measure
 
 from ffdioph.ffield import (
     AbsValue,
@@ -303,11 +303,11 @@ def test_cell_data_fills_gradient_rows_only_on_request():
 
 
 def _reference_value_status(data, atom, value=None):
-    """The value status from Laurent arithmetic: combo, frac_exp and
+    """The value status from Laurent arithmetic: laurent_combo, frac_exp and
     compare_abs_leq (``value`` replaces the center value of a.f + theta)."""
     if atom.tau >= -1:
         return IN
-    v, var = data.combo(atom.a, 0)
+    v, var = laurent_combo(data, atom.a, 0)
     if var is not None and var > -1:
         return UNKNOWN
     return compare_abs_leq(frac_exp(v if value is None else value), var, atom.tau)
@@ -419,7 +419,7 @@ def test_packed_value_status_precision_parity():
             elif got == "raises":
                 tally["both raise"] += 1
             else:
-                v, _ = data.combo(atom.a, 0)
+                v, _ = laurent_combo(data, atom.a, 0)
                 for below in (0, 1):
                     done = Laurent(F2, v.terms + ((v.prec - 1, below),))
                     assert got == _reference_value_status(data, atom, done)
@@ -428,12 +428,12 @@ def test_packed_value_status_precision_parity():
 
 
 def _reference_grad_status(data, atom, values=None):
-    """The gradient status from Laurent arithmetic: combo per partial,
+    """The gradient status from Laurent arithmetic: laurent_combo per partial,
     abs_exp and the norm comparisons (``values[j]`` replaces the center
     value of d_j(a.f + theta) where given)."""
     comps = []
     for j in range(data.sd.m.d):
-        gv, gvar = data.combo(atom.a, 1 + j)
+        gv, gvar = laurent_combo(data, atom.a, 1 + j)
         if values is not None and values[j] is not None:
             gv = values[j]
         comps.append((gv.abs_exp(), gvar))
@@ -537,6 +537,24 @@ def test_digit_windows_fixed_when_columns_are_built():
     assert sd.floors[1] == -1
 
 
+def test_slot_width_holds_a_packed_a0():
+    # the largest sum one slot takes over F_3 with n = 1 and deg a_1 = 0:
+    # theta's digit, a_1 times f_1's digit and a0's digit, 2 + 2*2 + 2 = 8.
+    # The slots hold it, so the top digit of G = 2x + 2 + theta at x = 2 is
+    # the one of the Laurent value, 8 = 2 at degree 0
+    x = MPoly.var(F3, 1, 0)
+    two = Laurent(F3, [(0, 2)])
+    m = AnalyticMap(F3, 1, 1, (x,), MPoly.const(F3, 1, two))
+    sd = SweepData(m)
+    a, a0 = (Poly(F3, [2]),), Poly(F3, [2])
+    pids = sd.register(a, 0, -3)
+    data = MapCellData.at_point(sd, [two])
+    val, _, prec = data.packed_sum(pids, 0)
+    g = lin_comb(two, a, [two]) + a0.to_laurent()
+    assert g.abs_exp() == 0
+    assert sd.top_digit(val + sd.pack(a0), -3, prec, 0) == 0
+
+
 def test_packed_grad_status_precision_parity():
     # d_1 f_1 is known only down to q^-4, and over F_2 a = (1, 1) cancels it
     # against the exact d_1 f_2 there: d_1(a.f) = x_2 + (0 to q^-4).  The
@@ -577,7 +595,7 @@ def test_packed_grad_status_precision_parity():
             else:
                 blank = []
                 for j in range(m.d):
-                    v, _ = data.combo(atom.a, 1 + j)
+                    v, _ = laurent_combo(data, atom.a, 1 + j)
                     blank.append([None] if v.terms or v.exact else
                                  [Laurent(F2, [(v.prec - 1, below)]) for below in (0, 1)])
                 for values in itertools.product(*blank):

@@ -2,8 +2,8 @@
 its tests, so the import graph of ffdioph stays acyclic by construction
 rather than by deferred imports, every function, class and method the
 package defines is referenced somewhere in the package or its tests, every
-imported name is used, and every defaulted parameter has a caller that sets
-it."""
+imported name is used, every defaulted parameter has a caller that sets
+it, and only ``dioph`` reads the digit layout of a sweep."""
 
 import ast
 from collections import Counter
@@ -145,3 +145,18 @@ def test_every_default_is_set_by_a_caller():
                    if not any(starred or param in kws or (index is not None and index < npos)
                               for starred, npos, kws in calls.get(name, ())))
     assert not unset, f"{len(unset)} defaults no call sets: " + ", ".join(unset)
+
+
+def test_only_dioph_reads_the_digit_layout():
+    """SweepData's layout attributes (slot widths, column bases, read floors
+    and the largest shift) are read in dioph alone; every other module asks
+    dioph for packed sums and their digits."""
+    layout = {"slots", "bases", "floors", "jmax"}
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "dioph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in layout]
+    assert not readers, "digit layout read outside dioph: " + ", ".join(readers)

@@ -2,13 +2,17 @@
 fractions and divergence sums."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from oracles import laurent_dist_status
+
+from ffdioph.errors import PrecisionError
 from ffdioph.ffield import Ball, FieldSpec, GridSpec, Laurent, Poly
-from ffdioph.dioph import ApproxFn, SweepData, in_phi_f_point, measure_phi_f
-from ffdioph.goodfn import measure_union
+from ffdioph.dioph import ApproxFn, MapCellData, SweepData, in_phi_f_point, measure_phi_f
+from ffdioph.goodfn import IN, OUT, UNKNOWN, measure_union
 from ffdioph.ubiq import (
     ResonantDistAtom,
     ResonantFn,
@@ -17,6 +21,7 @@ from ffdioph.ubiq import (
     constructed_family,
     covering_fraction,
     dist_to_resonant,
+    gate_family,
     lambda_phi_hits,
     newton_root_1d,
     resonant_gate,
@@ -143,12 +148,102 @@ def test_dist_atom_sweep_brackets_the_exact_measure_with_quadratic_theta():
         g = ResonantFn(m=m, a0=Poly.zero(F3), a=(Poly.one(F3),))
         B = m.resolved_domain
         for tau in range(-1, -6, -1):
-            res = measure_union([ResonantDistAtom(g, tau, SweepData(m, B))], B, 8)
+            res = measure_union([ResonantDistAtom(g, tau, SweepData(m, B), 8)], B, 8)
             # two balls of radius q^tau, one when they meet
             exact = 0 if k is None else min(B.measure(), Fraction(2 if tau < -k else 1, 3**-tau))
             assert res.included <= exact <= res.included + res.undecided, (k, tau)
             decided += res.undecided < B.measure() / 3
     assert decided >= 10
+
+
+def _completed(data, fill):
+    """The cell data with every windowed row value completed by the digit
+    fill just below its window."""
+    done = MapCellData(data.sd, data.cell)
+    for r in (0, 1):
+        done.vals[r] = [v if v.exact else Laurent(v.spec, v.terms + ((v.prec - 1, fill),))
+                        for v in data._row(r)]
+        done.vars[r] = data.vars[r]
+    return done
+
+
+class _CheckedDistAtom:
+    """A ResonantDistAtom whose every status is compared with the Laurent
+    reference; a raise reads UNKNOWN, so the sweep goes on."""
+
+    def __init__(self, atom, tally):
+        self.atom, self.tally = atom, tally
+
+    def status(self, cell, ctx):
+        atom = self.atom
+        try:
+            got = atom.status(cell, ctx)
+        except PrecisionError:
+            got = "raises"
+        data = MapCellData.of(atom.sd, cell, ctx)
+        try:
+            ref = laurent_dist_status(atom, data, cell)
+        except PrecisionError:
+            ref = "raises"
+        if ref != "raises":
+            assert got == ref, (cell, atom.g.a, atom.g.a0, atom.tau)
+            self.tally[got] += 1
+        elif got == "raises":
+            self.tally["both raise"] += 1
+        else:
+            # the packed read decides on known digits only: the same answer
+            # as the reference on every completion of the windows
+            for fill in (0, 1):
+                assert got == laurent_dist_status(atom, _completed(data, fill), cell)
+            self.tally["only Laurent raises"] += 1
+        return UNKNOWN if got == "raises" else got
+
+
+def test_dist_atom_matches_laurent_oracle():
+    # every cell of whole sweeps, one label per atom: the status read off the
+    # packed columns against the Laurent reference, over F_2, F_3 and F_4,
+    # theta absent, constant and cubic, the F_3 line (d1 G constant) and a
+    # map with windowed coefficients (c x with c known down to q^-2, and a
+    # theta known down to q^-1; its g = c x + 1 + theta cancels to 0 in the
+    # window at x = 0).  Each family starts with a = (1, .., 1), a0 = 1: over
+    # F_2 with f = (c' x, x), c' = 1 known down to q^-2, its d1 G = c' + 1
+    # has no known digit
+    F4 = FieldSpec.from_order(4)
+
+    def const(spec, terms, prec=None):
+        return MPoly.const(spec, 1, Laurent(spec, terms, prec))
+
+    def cubic(spec):
+        x = MPoly.var(spec, 1, 0)
+        return (x * x * x).scale(Laurent.X(spec, -1)) + const(spec, [(-1, 1)])
+
+    x = MPoly.var(F3, 1, 0)
+    windowed = AnalyticMap(F3, 1, 1, (x.scale(Laurent(F3, [(1, 1), (-1, 2)], -2)),),
+                           theta=const(F3, [(0, 2)], -1))
+    x2 = MPoly.var(F2, 1, 0)
+    cancels = AnalyticMap(F2, 1, 2, (x2.scale(Laurent(F2, [(0, 1)], -2)), x2))
+    maps = [veronese(F2, 2), veronese(F3, 2, theta=const(F3, [(-1, 1), (-3, 2)])),
+            veronese(F3, 2, theta=cubic(F3)), LINE3, veronese(F4, 2, theta=cubic(F4)),
+            windowed, cancels]
+    rng = random.Random(2)
+    tally = Counter()
+    for m in maps:
+        B, depth = Ball.unit(m.spec, 1, 2), 8
+        sd = SweepData(m, B)
+        one = Poly.one(m.spec)
+        family = [ResonantFn(m=m, a0=one, a=(one,) * m.n)]
+        while len(family) < 8:
+            a = tuple(Poly(m.spec, [rng.randrange(m.spec.q) for _ in range(rng.randint(1, 3))])
+                      for _ in range(m.n))
+            a0 = Poly(m.spec, [rng.randrange(m.spec.q) for _ in range(2)])
+            if not all(p.is_zero for p in a):
+                family.append(ResonantFn(m=m, a0=a0, a=a))
+        atoms = []
+        for g in family:
+            for tau in (-1, -2, -4):
+                atoms.append(_CheckedDistAtom(ResonantDistAtom(g, tau, sd, depth), tally))
+        measure_union(atoms, B, depth, labels=range(len(atoms)))
+    assert set(tally) == {IN, OUT, UNKNOWN, "both raise", "only Laurent raises"}, tally
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +379,20 @@ def test_constructed_family_is_the_constructions_g():
         assert family == list(want) and len(family) > 1
         rep = covering_fraction(m, 1, -1, B, params, budget=10)
         assert rep.partial and rep.family_size == sum(resonant_gate(g, B) for g in family)
+
+
+def test_gate_family_counts_precision_skips():
+    # G = x^2 on the F_3 Veronese: d1 G = 2x vanishes at the center of B, so
+    # its gate raises PrecisionError and is counted; G = x passes, and the
+    # constant g (a = 0) is no member of the union
+    B = Ball.unit(F3, 1, 2)
+    one, zero = Poly.one(F3), Poly.zero(F3)
+    gx = ResonantFn(m=VER, a0=zero, a=(one, zero))
+    gx2 = ResonantFn(m=VER, a0=zero, a=(zero, one))
+    with pytest.raises(PrecisionError):
+        resonant_gate(gx2, B)
+    const = ResonantFn(m=VER, a0=one, a=(zero, zero))
+    assert gate_family([gx2, gx, const], B) == ([gx], 1)
 
 
 # ---------------------------------------------------------------------------
