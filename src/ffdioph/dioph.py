@@ -634,51 +634,51 @@ def enumerate_exact_degrees(spec: FieldSpec, tvec: Sequence[int]) -> Iterator[tu
 
 def measure_bigA(
     m: AnalyticMap,
-    delta_exp: int,
+    delta_exps: Sequence[int],
     tvecs: Sequence[Sequence[int]],
     eps: Fraction,
     grid: GridSpec,
     max_depth: Optional[int] = None,
-) -> tuple[MeasureResult, Fraction]:
-    """Exact measure of the big-gradient set A (A_theta when the map has a
-    theta) over the given coordinate-degree vectors, and the ratio
-    measure/(delta |U|).
+) -> list[tuple[MeasureResult, Fraction]]:
+    """Exact measures of the big-gradient sets A(delta) (A_theta when the
+    map has a theta) over the given coordinate-degree vectors, one per
+    delta = q^delta_exp, each with its ratio measure/(delta |U|).
 
     Per a with |a_i| = q^{t_i}: |f.a + theta + a_0| < delta q^{-sum t_i}
-    and ||grad(f.a + theta)|| >= ||a||^{1-eps}.
+    and ||grad(f.a + theta)|| >= ||a||^{1-eps}.  One sweep with the atoms
+    labelled by delta, to the depth the smallest delta needs, gives every
+    set.
     """
     eps = Fraction(eps)
     if not (0 < eps < Fraction(1, 2)):
         raise ValueError("need 0 < eps < 1/2")
     dom = grid.resolved_domain
     sd = SweepData(m, dom)
-    atoms = []
-    tmaxes, taus = [], []
-    for tvec in tvecs:
-        tvec = tuple(tvec)
-        tau = strict_below(delta_exp - sum(tvec))
-        tmax = max(tvec)
-        tmaxes.append(tmax)
-        taus.append(tau)
-        glower = Fraction(tmax) * (1 - eps)
-        for a in enumerate_exact_degrees(m.spec, tvec):
-            atoms.append(WitnessAtom(sd, a, tau, grad_lower=glower))
+    boxes = [(max(tvec), sum(tvec), list(enumerate_exact_degrees(m.spec, tvec)))
+             for tvec in tvecs]
+    atoms, labels, tmaxes, taus = [], [], [], []
+    for de in delta_exps:
+        for tmax, tsum, box in boxes:
+            tau = strict_below(de - tsum)
+            tmaxes.append(tmax)
+            taus.append(tau)
+            glower = Fraction(tmax) * (1 - eps)
+            atoms += [WitnessAtom(sd, a, tau, grad_lower=glower) for a in box]
+            labels += [de] * len(box)
     depth = max_depth if max_depth is not None else _witness_depth(grid, tmaxes, taus)
-    res = measure_union(atoms, dom, depth)
-    q = m.spec.q
-    delta = Fraction(q) ** delta_exp if delta_exp >= 0 else Fraction(1, q ** -delta_exp)
-    ratio = res.included / (delta * dom.measure())
-    return res, ratio
+    union = measure_union(atoms, dom, depth, labels)
+    out = []
+    for de in delta_exps:
+        res = union.restrict([de])
+        out.append((res, res.included / (Fraction(m.spec.q) ** de * dom.measure())))
+    return out
 
 
-def smallgrad_atoms(m: AnalyticMap, t: int, t_prime: int, tvec: Sequence[int],
-                    domain: Optional[Ball] = None) -> list:
-    """Atoms for the small-gradient set S(t, t', t_1..t_n)."""
-    tau_val = strict_below(Fraction(-t))
-    tau_grad = strict_below(Fraction(t_prime))
-    sd = SweepData(m.homogeneous, domain)
+def smallgrad_atoms(sd: SweepData, bounds: Sequence[int], tau_val: int, tau_grad: int) -> list:
+    """Atoms of a small-gradient box: per nonzero a with deg a_i <=
+    bounds[i], |f.a + a_0| <= q^tau_val and ||grad(f.a)|| <= q^tau_grad."""
     return [WitnessAtom(sd, a, tau_val, grad_upper_tau=tau_grad)
-            for a in enumerate_box(m.spec, [ti - 1 for ti in tvec])
+            for a in enumerate_box(sd.m.spec, bounds)
             if not all(p.is_zero for p in a)]
 
 
@@ -700,7 +700,8 @@ def measure_smallgrad_S(
     if t < 0 or any(ti < 1 for ti in tvec) or gap >= 0:
         raise ValueError("small-gradient hypotheses violated")
     eps_theory = max(Fraction(-t), Fraction(gap, n + 1))
-    atoms = smallgrad_atoms(m, t, t_prime, tvec, domain=B)
+    atoms = smallgrad_atoms(SweepData(m.homogeneous, B), [ti - 1 for ti in tvec],
+                            strict_below(-t), strict_below(t_prime))
     depth = max_depth if max_depth is not None else B.radius_exp + max(tvec) + t + 2
     res = measure_union(atoms, B, depth)
     return res, eps_theory

@@ -1037,3 +1037,19 @@ def enumerate_box(spec: FieldSpec, bounds: Sequence[int]) -> Iterator[tuple[Poly
         for b in bounds
     ]
     return itertools.product(*opts)
+
+
+def cofactor_det(rows: Sequence[Sequence], zero):
+    """Determinant by cofactor expansion along the first row, over any ring
+    whose elements have is_zero (exactly zero entries are skipped)."""
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    acc = zero
+    for j, a in enumerate(rows[0]):
+        if a.is_zero:
+            continue
+        minor = [[r[i] for i in range(k) if i != j] for r in rows[1:]]
+        term = a * cofactor_det(minor, zero)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc

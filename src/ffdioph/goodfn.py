@@ -417,20 +417,23 @@ class GoodnessCertificate:
     certified: bool = True
 
 
-def _certify(ball: Ball, alpha, sup: AbsValue, eps_exps: Sequence, sweep) -> GoodnessCertificate:
-    """The ratio loop: max over eps of measure * (sup/eps)^alpha / |B|, where
-    sweep(tau) measures the sublevel set at tau = strict_below(eps_exp)."""
+def _certify(ball: Ball, alpha, sup: AbsValue, eps_exps: Sequence, atom_at,
+             depth: int) -> GoodnessCertificate:
+    """The ratio loop: max over eps of measure * (sup/eps)^alpha / |B|.  The
+    sublevel set at eps is the label eps of one sweep to ``depth`` over the
+    atoms atom_at(tau), tau = strict_below(eps_exp)."""
     if sup.is_zero:
         raise ValueError("goodness of the zero function is undefined")
     q = ball.spec.q
     alpha = Fraction(alpha)
+    eps_exps = [Fraction(e) for e in eps_exps]
     ball_measure = ball.measure()
+    union = measure_union([atom_at(strict_below(e)) for e in eps_exps], ball, depth, eps_exps)
     best = QExp.zero(q)
     rows = []
     certified = True
     for e in eps_exps:
-        e = Fraction(e)
-        res = sweep(strict_below(e))
+        res = union.restrict([e])
         certified = certified and res.certified
         ratio = QExp.from_fraction(q, res.included / ball_measure)
         if res.included:
@@ -452,24 +455,21 @@ def certify_good(
 
     Returns max over eps of  measure * (sup/eps)^alpha / |B|,  each factor
     exact.  Epsilon values above the sup norm contribute ratio measure/|B|
-    <= 1 and are admitted (the definition is vacuous there).
+    <= 1 and are admitted (the definition is vacuous there).  The sweep goes
+    to the depth of the smallest epsilon, the deepest any epsilon needs.
     """
-    def sweep(tau):
-        depth = _sublevel_depth(g, ball, tau, resolution, None)
-        return measure_union([PolyAbsAtom(g, tau)], ball, depth)
-
-    return _certify(ball, alpha, sup_norm_on_ball(g, ball), eps_exps, sweep)
+    depth = _sublevel_depth(g, ball, strict_below(min(eps_exps, default=0)), resolution, None)
+    return _certify(ball, alpha, sup_norm_on_ball(g, ball), eps_exps,
+                    lambda tau: PolyAbsAtom(g, tau), depth)
 
 
 def certify_good_max(
     polys: Sequence[MPoly], ball: Ball, alpha, eps_exps: Sequence
 ) -> GoodnessCertificate:
     """Goodness certificate for x -> max_i |g_i(x)| (sup of a finite family)."""
-    def sweep(tau):
-        atom = ConjAtom([PolyAbsAtom(g, tau) for g in polys])
-        return measure_union([atom], ball, ball.radius_exp + 8)
-
-    return _certify(ball, alpha, sup_norm_family(polys, ball), eps_exps, sweep)
+    return _certify(ball, alpha, sup_norm_family(polys, ball), eps_exps,
+                    lambda tau: ConjAtom([PolyAbsAtom(g, tau) for g in polys]),
+                    ball.radius_exp + 8)
 
 
 def good_bound_holds(

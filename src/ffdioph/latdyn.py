@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .dioph import SweepData, WitnessAtom
+from .dioph import SweepData, smallgrad_atoms
 from .errors import PrecisionError
 from .ffield import (
     AbsValue,
@@ -27,7 +27,7 @@ from .ffield import (
     GridSpec,
     Laurent,
     Poly,
-    enumerate_box,
+    cofactor_det,
     enumerate_polys,
     strict_below,
 )
@@ -113,22 +113,6 @@ class LaurentMatrix:
 
     def to_json(self) -> list[list[str]]:
         return [[str(z) for z in row] for row in self.rows]
-
-
-def cofactor_det(rows: Sequence[Sequence], zero):
-    """Determinant by cofactor expansion along the first row, over any ring
-    whose elements have is_zero (exactly zero entries are skipped)."""
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    acc = zero
-    for j, a in enumerate(rows[0]):
-        if a.is_zero:
-            continue
-        minor = [[r[i] for i in range(k) if i != j] for r in rows[1:]]
-        term = a * cofactor_det(minor, zero)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def fq_dependence(spec: FieldSpec, vecs: Sequence[Sequence[int]]) -> Optional[list[int]]:
@@ -759,27 +743,27 @@ def check_ABC(
 # ---------------------------------------------------------------------------
 
 def qn_short_vector_atoms(
-    m: AnalyticMap, D: DiagonalScaling, eps_exp, domain: Optional[Ball] = None
-) -> list:
-    """Atoms whose union is {x : ||D U_x v|| < eps for some v in Gamma-0}.
+    m: AnalyticMap, D: DiagonalScaling, eps_exps: Sequence, domain: Optional[Ball] = None
+) -> tuple[list, list[Fraction]]:
+    """Atoms whose union is {x : ||D U_x v|| < eps for some v in Gamma-0},
+    for every eps of eps_exps on one SweepData, and their labels eps.
 
     Scaling out D turns the membership into finitely many coordinate boxes:
-    |f.a~ + a~0| < eps|a0|, ||grad(f.a~)|| < eps|a_*|, |a~_i| < eps|a_i|.
+    |f.a~ + a~0| < eps|a0|, ||grad(f.a~)|| < eps|a_*|, |a~_i| < eps|a_i|,
+    the small-gradient box at D-scaled bounds.
     """
-    spec = m.spec
-    eps_exp = Fraction(eps_exp)
-    tau0 = strict_below(eps_exp + D.a0_exp)
-    taustar = strict_below(eps_exp + D.astar_exp)
-    bounds = [strict_below(eps_exp + e) for e in D.ai_exps]
-    atoms = []
-    if tau0 >= 0:
-        # a~ = 0 with nonzero a~0 already satisfies everything
-        atoms.append(TrueAtom())
     sd = SweepData(m.homogeneous, domain)
-    for a in enumerate_box(spec, bounds):
-        if not all(p.is_zero for p in a):
-            atoms.append(WitnessAtom(sd, a, tau0, grad_upper_tau=taustar))
-    return atoms
+    atoms: list = []
+    labels: list[Fraction] = []
+    for e in map(Fraction, eps_exps):
+        tau0 = strict_below(e + D.a0_exp)
+        # a~ = 0 with nonzero a~0 already satisfies everything
+        box = [TrueAtom()] if tau0 >= 0 else []
+        box += smallgrad_atoms(sd, [strict_below(e + b) for b in D.ai_exps], tau0,
+                               strict_below(e + D.astar_exp))
+        atoms += box
+        labels += [e] * len(box)
+    return atoms, labels
 
 
 def qn_bound_probe(
@@ -789,11 +773,9 @@ def qn_bound_probe(
     eps_exps: Sequence,
     max_depth: Optional[int] = None,
 ) -> list[tuple[Fraction, MeasureResult]]:
-    """Exact measures of the qn_membership sets over an epsilon sweep."""
-    out = []
-    for e in eps_exps:
-        atoms = qn_short_vector_atoms(m, D, e, domain=B)
-        depth = max_depth if max_depth is not None else B.radius_exp + 8
-        res = measure_union(atoms, B, depth)
-        out.append((Fraction(e), res))
-    return out
+    """Exact measures of the qn_membership sets over an epsilon sweep, from
+    one sweep with the atoms labelled by epsilon."""
+    atoms, labels = qn_short_vector_atoms(m, D, eps_exps, domain=B)
+    depth = max_depth if max_depth is not None else B.radius_exp + 8
+    union = measure_union(atoms, B, depth, labels)
+    return [(e, union.restrict([e])) for e in map(Fraction, eps_exps)]

@@ -534,10 +534,11 @@ def constructed_family(
     delta_exp: int,
     B: Ball,
     params: UbiquityParams,
-) -> list[ResonantFn]:
+) -> tuple[list[ResonantFn], int]:
     """The distinct g that build_resonant_fn gives at the centers of B's
-    cells outside Phi^f(t, delta), in cell order; a center where the build
-    raises ValueError (a singular system or the zero tuple) is skipped.
+    cells outside Phi^f(t, delta), in cell order, and the number of centers
+    skipped because the build raised ValueError (a singular system or the
+    zero tuple).
 
     A g built at x stays within rho of every point of x's cell once cells
     are finer than rho, so the centers sit at resolution max(r + 3,
@@ -545,6 +546,7 @@ def constructed_family(
     minus Phi^f in the union of the rho-neighborhoods carries over."""
     c_res = max(B.radius_exp + 3, 1 - params.rho_exp(t))
     family = {}
+    skipped = 0
     for cell in GridSpec(m.spec, B.d, c_res, B).cells():
         x = cell.center
         if in_phi_f_point(m, x, t, delta_exp):
@@ -552,9 +554,10 @@ def constructed_family(
         try:
             g = build_resonant_fn(m, x, t, delta_exp, params).g
         except ValueError:
+            skipped += 1
             continue
         family.setdefault((g.a0, g.a), g)
-    return list(family.values())
+    return list(family.values()), skipped
 
 
 def gate_family(family: Iterable[ResonantFn], dom: Ball) -> tuple[list[ResonantFn], int]:
@@ -583,6 +586,7 @@ class CoveringReport:
     partial: bool            # True when only a constructed subfamily was used
     family_size: int
     gate_skipped: int        # members whose gate raised PrecisionError
+    build_skipped: int       # constructed_family centers whose build raised
 
     @property
     def certified(self) -> bool:
@@ -615,8 +619,9 @@ def covering_fraction(
     resolution = B.radius_exp + 3
     family = enumerate_family(m, params, t, budget=budget)
     partial = family is None
+    build_skipped = 0
     if family is None:
-        family = constructed_family(m, t, delta_exp, B, params)
+        family, build_skipped = constructed_family(m, t, delta_exp, B, params)
     tau = strict_below(Fraction(rho))
     depth = resolution + max(0, -tau) + 2
     sd = SweepData(m, B)
@@ -632,6 +637,7 @@ def covering_fraction(
         partial=partial,
         family_size=len(atoms),
         gate_skipped=skipped,
+        build_skipped=build_skipped,
     )
 
 

@@ -10,12 +10,13 @@ refinement reserved for the cancellation cases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import FieldMismatchError, PrecisionError
-from .ffield import AbsValue, Ball, FieldSpec, Laurent, Poly
+from .ffield import AbsValue, Ball, FieldSpec, Laurent, Poly, cofactor_det
 
 MultiIndex = tuple[int, ...]
 
@@ -579,38 +580,15 @@ class ConditionsReport:
         )
 
 
-def _laurent_matrix_rank(rows: list[list[Laurent]]) -> int:
-    """Rank over F of a matrix with exact Laurent entries (fraction-free)."""
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col].terms:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col].terms:
-                f = mat[i][col]
-                mat[i] = [pv * a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def components_independent(m: AnalyticMap) -> bool:
-    """Linear independence of 1, f1, ..., fn over F (condition III)."""
+    """Linear independence of 1, f1, ..., fn over F (condition III): some
+    maximal minor of their coefficient matrix has a known nonzero term."""
     monos = sorted({k for f in m.components for k in f.terms} | {(0,) * m.d})
-    rows = [[Laurent.one(m.spec) if mo == (0,) * m.d else Laurent.zero(m.spec) for mo in monos]]
-    for f in m.components:
-        rows.append([f.terms.get(mo, Laurent.zero(m.spec)) for mo in monos])
-    return _laurent_matrix_rank(rows) == m.n + 1
+    one, zero = Laurent.one(m.spec), Laurent.zero(m.spec)
+    rows = [[one if mo == (0,) * m.d else zero for mo in monos]]
+    rows += [[f.terms.get(mo, zero) for mo in monos] for f in m.components]
+    return any(cofactor_det([[r[c] for c in cols] for r in rows], zero).terms
+               for cols in itertools.combinations(range(len(monos)), m.n + 1))
 
 
 def _sup_exceeds(g: MPoly, ball: Ball, limit_exp: int, vt: Optional[VarTable] = None) -> bool:

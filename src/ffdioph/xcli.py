@@ -335,15 +335,15 @@ def run_biggrad(
     """delta-sweep of the homogeneous big-gradient set measure; verdict:
     the exact ratios |A_delta| / (delta |U|) stay below one recorded
     constant."""
+    if any(de >= 0 for de in delta_exps):
+        raise ValueError("delta must satisfy 0 < delta < 1")
     grid = GridSpec(m.spec, m.d, grid_N, m.resolved_domain)
     tvecs = list(itertools.product(range(tmax + 1), repeat=m.n))
     rows = []
     ratios = []
     certified = True
-    for de in delta_exps:
-        if de >= 0:
-            raise ValueError("delta must satisfy 0 < delta < 1")
-        res, ratio = measure_bigA(m.homogeneous, de, tvecs, eps, grid)
+    results = measure_bigA(m.homogeneous, delta_exps, tvecs, eps, grid)
+    for de, (res, ratio) in zip(delta_exps, results):
         certified = certified and res.certified
         rows.append({
             "deltaExp": de,
@@ -465,6 +465,7 @@ def run_ubiquity(
             "familySize": rep.family_size,
             "partialFamily": rep.partial,
             "gateSkipped": rep.gate_skipped,
+            "buildSkipped": rep.build_skipped,
             "claimsOk": all_b,
         })
         if witness is not None:
@@ -490,11 +491,12 @@ def run_ubiquity(
 
 # budget guards: refuse silently huge sweeps unless explicitly overridden
 MAX_CELLS = 10**6
-MAX_SHELL = 10**5
+MAX_ATOMS = 10**5
 
 
-def check_budget(m: AnalyticMap, grid_N: int, shells=None, force: bool = False) -> None:
-    """Guard the cell and shell budgets; --force overrides."""
+def check_budget(m: AnalyticMap, grid_N: int, atoms: int, force: bool) -> None:
+    """Guard the grid's cell count and the number of atoms the sweep
+    builds; --force overrides."""
     if force:
         return
     cells = m.spec.q ** (m.d * grid_N)
@@ -502,12 +504,15 @@ def check_budget(m: AnalyticMap, grid_N: int, shells=None, force: bool = False) 
         raise ValueError(
             f"grid has q^(dN) = {cells} > {MAX_CELLS} cells; pass --force to override"
         )
-    if shells:
-        total = sum(shell_count(m.spec.q, m.n, t) for t in shells)
-        if total > MAX_SHELL:
-            raise ValueError(
-                f"shell range holds {total} > {MAX_SHELL} tuples; pass --force to override"
-            )
+    if atoms > MAX_ATOMS:
+        raise ValueError(
+            f"the sweep builds {atoms} > {MAX_ATOMS} atoms; pass --force to override"
+        )
+
+
+def _shell_tuples(m: AnalyticMap, lo: int, hi: int) -> int:
+    """The witness atoms of the shells lo..hi: one per a in each shell."""
+    return sum(shell_count(m.spec.q, m.n, t) for t in range(lo, hi + 1))
 
 
 def _parse_range(s: str) -> tuple[int, int]:
@@ -559,7 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--shells", type=str, default="0:2")
     p.add_argument("--homogeneous", action="store_true")
     p.add_argument("--force", action="store_true",
-                   help="override the cell/shell budget guards")
+                   help="override the cell/atom budget guards")
     p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("biggrad", help="big-gradient scaling experiment")
@@ -655,7 +660,7 @@ def _dispatch(args) -> int:
         m = load_map_file(args.map)
         psi = parse_psi(args.psi)
         t0, t1 = _parse_range(args.shells)
-        check_budget(m, args.grid, range(t0, t1 + 1), args.force)
+        check_budget(m, args.grid, _shell_tuples(m, t0, t1), args.force)
         rep = run_khintchine(
             m.homogeneous if args.homogeneous else m, psi, args.grid, t0, t1,
             config=_config_of(args),
@@ -665,9 +670,12 @@ def _dispatch(args) -> int:
 
     if args.cmd == "biggrad":
         m = load_map_file(args.map)
-        check_budget(m, args.grid, range(args.tmax + 1), args.force)
+        deltas = _parse_stepped(args.deltas)
+        # one atom per delta and per a with every a_i nonzero of degree <= tmax
+        check_budget(m, args.grid, len(deltas) * (m.spec.q ** (args.tmax + 1) - 1) ** m.n,
+                     args.force)
         rep = run_biggrad(
-            m, _parse_stepped(args.deltas), args.tmax, Fraction(args.eps), args.grid,
+            m, deltas, args.tmax, Fraction(args.eps), args.grid,
             config=_config_of(args),
         )
         rep.write(args.out)
@@ -675,7 +683,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "qn":
         m = load_map_file(args.map)
-        check_budget(m, args.grid, None, args.force)
+        check_budget(m, args.grid, 0, args.force)
         rep = run_qn(
             m, args.t, args.tprime, _parse_int_list(args.tvec),
             _parse_stepped(args.eps_grid), args.grid,
@@ -687,7 +695,7 @@ def _dispatch(args) -> int:
     if args.cmd == "ubiquity":
         m = load_map_file(args.map)
         lo, hi = _parse_range(args.t_range)
-        check_budget(m, args.grid, range(lo, hi + 1), args.force)
+        check_budget(m, args.grid, _shell_tuples(m, lo, hi), args.force)
         rep = run_ubiquity(
             m, list(range(lo, hi + 1)), args.delta, parse_psi(args.psi),
             Fraction(args.s), args.grid, config=_config_of(args),

@@ -187,8 +187,7 @@ def test_criterion_04_biggrad_scaling():
     grid = GridSpec(F3, 1, 6)
     tvecs = list(itertools.product(range(3), repeat=2))
     ratios = []
-    for de in (-1, -2, -3, -4):
-        res, ratio = measure_bigA(VER, de, tvecs, Fraction(1, 4), grid)
+    for res, ratio in measure_bigA(VER, [-1, -2, -3, -4], tvecs, Fraction(1, 4), grid):
         assert res.certified
         ratios.append(ratio)
     C = max(ratios)

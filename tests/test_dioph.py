@@ -612,7 +612,7 @@ def test_biga_saturates_when_threshold_huge():
     # delta q^{-sum t} > 1 and vacuous gradient bound: the whole domain
     g = GridSpec(F3, 1, 4)
     # use tvec = (0,0): ||a|| = 1, gradient >= 1^{3/4} means >= 1: need a1 != 0
-    res, ratio = measure_bigA(VER, -1, [(0, 0)], Fraction(1, 4), g, max_depth=8)
+    [(res, ratio)] = measure_bigA(VER, [-1], [(0, 0)], Fraction(1, 4), g, max_depth=8)
     assert res.certified
     # a = (c, d) with c != 0 satisfies the gradient bound; the value condition
     # |{c x + d x^2}| <= q^-2 holds iff |x| <= q^-2 for some choice
@@ -621,7 +621,7 @@ def test_biga_saturates_when_threshold_huge():
 
 def test_biga_golden_instance():
     g = GridSpec(F3, 1, 6)
-    res, ratio = measure_bigA(VER, -1, [(1, 1)], Fraction(1, 4), g)
+    [(res, ratio)] = measure_bigA(VER, [-1], [(1, 1)], Fraction(1, 4), g)
     assert res.certified
     assert res.included == Fraction(31, 243) and ratio == Fraction(31, 27)
 
@@ -630,8 +630,7 @@ def test_biga_ratio_sweep_bounded():
     g = GridSpec(F3, 1, 5)
     tvecs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     ratios = []
-    for de in (-1, -2, -3):
-        res, ratio = measure_bigA(VER, de, tvecs, Fraction(1, 4), g)
+    for res, ratio in measure_bigA(VER, [-1, -2, -3], tvecs, Fraction(1, 4), g):
         assert res.certified
         ratios.append(ratio)
     C = max(ratios)
@@ -643,8 +642,8 @@ def test_biga_theta_in_lambda_is_homogeneous():
     # a.f + a_0, and grad theta = 0, so A_theta = A
     grid, tvecs = GridSpec(F3, 1, 4), list(itertools.product(range(2), repeat=2))
     shifted = veronese(F3, 2, theta=MPoly.const(F3, 1, Laurent.X(F3)))
-    hom, _ = measure_bigA(VER, -1, tvecs, Fraction(1, 4), grid)
-    inh, _ = measure_bigA(shifted, -1, tvecs, Fraction(1, 4), grid)
+    [(hom, _)] = measure_bigA(VER, [-1], tvecs, Fraction(1, 4), grid)
+    [(inh, _)] = measure_bigA(shifted, [-1], tvecs, Fraction(1, 4), grid)
     assert hom.certified and inh.certified
     assert inh.included == hom.included == Fraction(23, 81)
 
@@ -655,7 +654,7 @@ def test_biga_theta_matches_pointwise_split():
     # delta q^{-sum t_i} and classify_gradient says "large"
     m = veronese(F3, 2, theta=MPoly.monomial(F3, 1, (2,), Laurent.X(F3, -1)))
     grid, tvecs = GridSpec(F3, 1, 4), list(itertools.product(range(2), repeat=2))
-    res, _ = measure_bigA(m, -1, tvecs, Fraction(1, 4), grid)
+    [(res, _)] = measure_bigA(m, [-1], tvecs, Fraction(1, 4), grid)
     assert res.certified and res.included == Fraction(25, 81)
 
     def member(x):
@@ -674,7 +673,7 @@ def test_biga_theta_matches_pointwise_split():
 
 def test_biga_rejects_bad_eps():
     with pytest.raises(ValueError):
-        measure_bigA(VER, -1, [(1, 1)], Fraction(1, 2), GridSpec(F3, 1, 4))
+        measure_bigA(VER, [-1], [(1, 1)], Fraction(1, 2), GridSpec(F3, 1, 4))
 
 
 def test_classify_gradient():

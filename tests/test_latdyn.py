@@ -482,7 +482,7 @@ def test_qn_probe_agrees_with_membership_at_centers():
     D = build_D(ce, 1)
     B = Ball.unit(F3, 1, 1)
     eps = Fraction(-1)
-    atoms = qn_short_vector_atoms(m, D, eps, domain=B)
+    atoms, _ = qn_short_vector_atoms(m, D, [eps], domain=B)
     assert measure_union(atoms, B, 10).certified
     # on every cell of resolution 7 the union is IN only where the center is
     # a member, and OUT only where it is not
@@ -507,7 +507,7 @@ def test_qn_gradient_bound_decides_centers():
     D = build_D(build_ceil_eps(3, 0, (1, 2)), 1)
     B = Ball.unit(F3, 1, 1)
     eps = Fraction(0)
-    atoms = qn_short_vector_atoms(m, D, eps, domain=B)
+    atoms, _ = qn_short_vector_atoms(m, D, [eps], domain=B)
     res = measure_union(atoms, B, 10)
     assert res.certified and res.included == Fraction(1, 9)
     by_gradient = 0

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import laurent_dist_status
 
+from ffdioph import ubiq
 from ffdioph.errors import PrecisionError
 from ffdioph.ffield import Ball, FieldSpec, GridSpec, Laurent, Poly
 from ffdioph.dioph import ApproxFn, MapCellData, SweepData, in_phi_f_point, measure_phi_f
@@ -28,6 +29,7 @@ from ffdioph.ubiq import (
     ubiquity_sum,
 )
 from ffdioph.ultracalc import AnalyticMap, MPoly, veronese
+from ffdioph.xcli import run_ubiquity
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -369,16 +371,43 @@ def test_constructed_family_is_the_constructions_g():
     B = Ball.unit(F3, 1, 2)
     for m in (VER, LINE3):
         params = UbiquityParams.from_delta(-1, m.n, m.d)
-        family = constructed_family(m, 1, -1, B, params)
+        family, skipped = constructed_family(m, 1, -1, B, params)
         c_res = max(B.radius_exp + 3, 1 - params.rho_exp(1))
         want = {}
         for cell in GridSpec(F3, 1, c_res, B).cells():
             if not in_phi_f_point(m, cell.center, 1, -1):
                 g = construct_resonant_witness(m, cell.center, 1, -1, params).g
                 want.setdefault(g, g)
-        assert family == list(want) and len(family) > 1
+        assert family == list(want) and len(family) > 1 and skipped == 0
         rep = covering_fraction(m, 1, -1, B, params, budget=10)
         assert rep.partial and rep.family_size == sum(resonant_gate(g, B) for g in family)
+
+
+def test_constructed_family_counts_build_skips(monkeypatch):
+    # a center whose build raises ValueError is left out and counted by
+    # constructed_family, covering_fraction and run_ubiquity's covering
+    # rows; the build raises at the centers with a digit below q^-3, the
+    # resolution of the witness audit grid, so the audit itself still runs
+    real = ubiq.build_resonant_fn
+    raised = []
+
+    def flaky(m, x, t, delta_exp, params):
+        if x[0].terms and x[0].terms[-1][0] < -3:
+            raised.append(x)
+            raise ValueError("singular system")
+        return real(m, x, t, delta_exp, params)
+
+    monkeypatch.setattr(ubiq, "build_resonant_fn", flaky)
+    B = Ball.unit(F3, 1, 2)
+    params = UbiquityParams.from_delta(-1, VER.n, VER.d)
+    family, skipped = constructed_family(VER, 1, -1, B, params)
+    assert family and skipped == len(raised) > 0
+    raised.clear()
+    rep = covering_fraction(VER, 1, -1, B, params, budget=10)
+    assert rep.partial and rep.build_skipped == len(raised) == skipped
+    raised.clear()
+    [row] = run_ubiquity(VER, [1], -1, ApproxFn.power_law(3), Fraction(1), 3).tables["covering"]
+    assert row["partialFamily"] and row["buildSkipped"] == len(raised) == skipped
 
 
 def test_gate_family_counts_precision_skips():

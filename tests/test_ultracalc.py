@@ -320,6 +320,29 @@ def test_independence_veronese():
     assert components_independent(veronese(F2, 3))
 
 
+def test_conditions_with_a_windowed_coefficient():
+    # c = 1 + X^-1 + O(X^-4) is known on a window only: the minor c of
+    # (1, x1, c x1^2) has a known nonzero term, while 1, x1, c x1 are
+    # dependent (c f1 - f2 = 0) and every maximal minor vanishes
+    c = Laurent(F3, [(0, 1), (-1, 1)], prec=-4)
+    x1 = MPoly.var(F3, 1, 0)
+    curve = AnalyticMap(F3, 1, 2, (x1, MPoly.monomial(F3, 1, (2,), c)))
+    line = AnalyticMap(F3, 1, 2, (x1, MPoly.monomial(F3, 1, (1,), c)))
+    assert check_conditions(curve).all_ok
+    rep = check_conditions(line)
+    assert not rep.independent
+    assert rep.violations == ["condition III: 1, f1..fn linearly dependent over F"]
+
+
+def test_independence_over_two_variables():
+    # five monomials, so five maximal minors: one is nonzero for (x1, x2,
+    # x1 x2 + x1^2), and all vanish for (x1, g, x1 + g)
+    x1, x2 = MPoly.var(F3, 2, 0), MPoly.var(F3, 2, 1)
+    assert components_independent(AnalyticMap(F3, 2, 3, (x1, x2, x1 * x2 + x1 * x1)))
+    g = x2 + x1 * x2 + x2 * x2
+    assert not components_independent(AnalyticMap(F3, 2, 3, (x1, g, x1 + g)))
+
+
 def test_theta_conditions():
     theta = MPoly.monomial(F3, 1, (1,), Laurent.X(F3, 2))
     m = veronese(F3, 2, theta=theta)

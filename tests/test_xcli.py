@@ -240,6 +240,15 @@ def test_budget_guard(veronese_map, capsys):
     assert "force" in capsys.readouterr().err
 
 
+def test_biggrad_budget_counts_the_sweeps_atoms(veronese_map, capsys):
+    # one sweep over 4 deltas x (3^5 - 1)^2 tuples a with every a_i nonzero of
+    # degree <= 4: refused before any atom is built
+    rc = main(["biggrad", "--map", str(veronese_map), "--tmax", "4", "--deltas=-1:-4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "234256" in err and "force" in err
+
+
 def test_khintchine_cli_over_f4_matches_api(tmp_path):
     path = tmp_path / "line4.map"
     path.write_text("field: 4\nd: 1\nn: 1\nf1: x1\ntheta: 0\ndomain_radius_exp: 1\n")
