@@ -256,17 +256,23 @@ class SweepData:
     packs the digits of u^e * g(c) from its kind's base, floor - jmax, up,
     the base lowest, each digit in b slots of s bits (coordinate r of a
     digit in the digit's slot r); multiplying by X^j shifts a column j
-    digits up.  A packed sum of
-    theta's column and, per part, alpha_{j,e} times its shifted columns
-    holds at most (p-1) + n(jmax+1)b(p-1)^2 in a slot, and (p-1) more
-    with a packed constant a0 (``pack``), so s bits never carry, and it
-    holds every digit from the kind's floor up.  The slots
-    (s, s*b, slot mask, slot table) are fixed when a cell first builds
-    columns, a kind's base when a cell first builds that kind's columns; a
-    later registration that would widen a fixed window raises ValueError."""
+    digits up.  A packed sum of theta's column and, per part, alpha_{j,e}
+    times its shifted columns holds at most (p-1) + n(jmax+1)b(p-1)^2 in a
+    slot, and (p-1) more with a packed constant a0 (``pack``); s is that
+    bound's bit length rounded up to whole bytes, so no slot carries and
+    every slot is whole bytes of the integer.  The slots (s, s*b, slot
+    mask, the evaluation layout that packs reduced digits) are fixed when a
+    cell first builds columns, a kind's base when a cell first builds that
+    kind's columns; a later registration that would widen a fixed window
+    raises ValueError.
+
+    A cell's columns come from integer products on packed digits
+    (``_CenterLayout``): ``shapes`` holds, per polynomial, the digit span
+    of each monomial's coefficient (None for the coefficient 1) and its
+    exponents, from which ``width`` sizes the working slots of a center."""
 
     __slots__ = ("m", "rows", "tables", "part_ids", "parts", "jmax", "floors",
-                 "bases", "slots")
+                 "bases", "slots", "shapes", "widths", "layouts")
 
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
@@ -279,6 +285,10 @@ class SweepData:
         self.floors: list = [None, None]  # per kind: lowest degree an atom reads
         self.bases: list = [None, None]   # per kind: lowest column degree
         self.slots = None
+        self.shapes = [[[(_coeff_span(c), _exponents(mono)) for mono, c in g.terms.items()]
+                        for g in row] for row in self.rows]
+        self.widths: dict = {}     # digit spans of a center's coordinates -> slot bytes
+        self.layouts: dict = {}    # slot bytes -> _CenterLayout
 
     def register(self, a: Sequence[Poly], kind: int, floor: int) -> tuple[int, ...]:
         """Part ids of a.f (+ theta) for an atom that reads the digits of the
@@ -310,23 +320,64 @@ class SweepData:
     def fix(self, kind: int) -> int:
         """The base of ``kind``, fixing it and the slots on first use."""
         if self.slots is None:
-            K = self.m.spec
-            p, b = K.p, K.b
-            s = (2 * (p - 1) + self.m.n * (self.jmax + 1) * b * (p - 1) ** 2).bit_length()
-            # slot[e][c]: the b packed F_p coordinates of u^e * c (u^e encodes as p^e)
-            slot = [[sum((K.mul(p**e, c) // p**r % p) << (s * r) for r in range(b))
-                     for c in K.elements()] for e in range(b)]
-            self.slots = (s, s * b, (1 << s) - 1, slot)
+            p, b = self.m.spec.p, self.m.spec.b
+            bound = 2 * (p - 1) + self.m.n * (self.jmax + 1) * b * (p - 1) ** 2
+            s = -(-bound.bit_length() // 8) * 8
+            self.slots = (s, s * b, (1 << s) - 1)
+            # slots wide enough for a reduced digit pack Laurent values and a0
+            self.slots += (self.layout(-(-(p - 1).bit_length() // 8)),)
         if self.bases[kind] is None:
             self.bases[kind] = self.floors[kind] - self.jmax
         return self.bases[kind]
 
+    def layout(self, width: int) -> "_CenterLayout":
+        """The evaluation layout with working slots of ``width`` bytes."""
+        got = self.layouts.get(width)
+        if got is None:
+            got = self.layouts[width] = _CenterLayout(self, width)
+        return got
+
+    def width(self, spans: tuple) -> int:
+        """Bytes a working slot needs at a center whose coordinate j spans
+        spans[j] digits (0 for the coordinate 0).  A product of packed
+        series of n and n' digits holds at most min(n, n') b (p-1)^2 in a
+        slot: the powers x_j^e (x_j^(e-1) times x_j), the products along a
+        monomial, and the sum of the monomials, each unreduced only in its
+        last product; a fold adds at most (p-1)^2 to a reduced slot."""
+        got = self.widths.get(spans)
+        if got is None:
+            p, b = self.m.spec.p, self.m.spec.b
+            k = b * (p - 1) ** 2
+            need = p * (p - 1) if b > 1 else p - 1
+            top = [0] * len(spans)  # largest exponent of each coordinate
+            for row in self.shapes:
+                for shape in row:
+                    total = 0
+                    for cspan, exps in shape:
+                        if any(spans[j] == 0 for j, _ in exps):
+                            continue
+                        acc, last = cspan, p - 1
+                        for j, e in exps:
+                            top[j] = max(top[j], e)
+                            f = e * (spans[j] - 1) + 1
+                            if acc is None:
+                                acc = f
+                            else:
+                                last = k * min(acc, f)
+                                need = max(need, last)
+                                acc += f - 1
+                        total += last
+                    need = max(need, total)
+            need = max([need] + [k * n for n, e in zip(spans, top) if e >= 2])
+            got = self.widths[spans] = -(-need.bit_length() // 8)
+        return got
+
     def pack(self, a0: Poly) -> int:
         """The digits of the polynomial a0 in the columns of row 0."""
         base = self.fix(0)
-        sb, slot = self.slots[1], self.slots[3][0]
-        return sum(slot[c] << sb * (k - base)
-                   for k, c in enumerate(a0.coeffs) if k >= base)
+        lay = self.slots[3]
+        terms = tuple((k, c) for k, c in reversed(tuple(enumerate(a0.coeffs))) if c)
+        return lay.columns(*lay.pack(terms), base)[0] if terms else 0
 
     def top_digit(self, val: int, deg: int, prec: float, kind: int) -> Optional[int]:
         """The degree of the top nonzero digit of the packed sum val of a row
@@ -348,19 +399,145 @@ class SweepData:
         return None
 
 
+def _coeff_span(c: Laurent) -> Optional[int]:
+    """Digits from the top known term of a coefficient to its lowest, 0
+    with none known, None for the exact 1 (a product skipped)."""
+    if c.prec is None and c.terms == ((0, 1),):
+        return None
+    return c.terms[0][0] - c.terms[-1][0] + 1 if c.terms else 0
+
+
+def _exponents(mono: tuple) -> tuple:
+    """The (coordinate, exponent) pairs of a monomial with exponent > 0."""
+    return tuple((j, e) for j, e in enumerate(mono) if e)
+
+
+class _CenterLayout:
+    """Packed evaluation of a sweep's polynomials at exact points, with
+    working slots of ``width`` bytes (Kronecker substitution).
+
+    A series is an integer and the degree of its lowest digit.  Each digit
+    is a group of 2b-1 slots, slot r holding the F_p coordinate of u^r, so
+    one integer product multiplies two series whose digits have u-degree
+    < b, each product digit a polynomial in u of degree <= 2b-2 with
+    unreduced coordinates.  ``reduce`` takes every slot mod p (one
+    bytes.translate with one-byte slots) and folds the slots b..2b-2 down
+    by the modulus, u^b = -(m_0 + .. + m_(b-1) u^(b-1))/m_b, by shifted adds
+    of the whole integer.  ``columns`` re-strides a reduced series to the
+    sweep's columns, b slots of s bits a digit, by bytes slicing, and forms
+    the columns of u^e times it there by the same fold."""
+
+    __slots__ = ("p", "b", "wb", "gb", "G", "kb", "s", "sb", "direct", "enc",
+                 "table", "fold", "progs")
+
+    def __init__(self, sd: SweepData, width: int):
+        K = sd.m.spec
+        p, b = K.p, K.b
+        self.p, self.b, self.wb = p, b, width
+        self.gb = (2 * b - 1) * width   # bytes of one digit group
+        self.G = 8 * self.gb
+        self.kb = -(-(p - 1).bit_length() // 8)  # bytes of a reduced coordinate
+        self.s = sd.slots[0]
+        self.sb = self.s // 8                    # bytes of a column slot
+        self.direct = b == 1 and width == self.sb
+        self.enc = [sum(c // p**r % p << 8 * width * r for r in range(b)) for c in K.elements()]
+        self.table = bytes(v % p for v in range(256))
+        self.fold = ()
+        if b > 1:
+            lead = pow(K.modulus[b], p - 2, p)
+            self.fold = tuple((i, -m * lead % p) for i, m in enumerate(K.modulus[:b]) if m)
+        # per row, per polynomial: ((packed coefficient or None for 1,
+        # exponents, coefficient horizon or None), ...)
+        self.progs = [[[(None if _coeff_span(c) is None else self.pack(c.terms),
+                         _exponents(mono), c.prec) for mono, c in g.terms.items()]
+                       for g in row] for row in sd.rows]
+
+    def pack(self, terms: tuple) -> tuple[int, int]:
+        """(packed digits, lowest degree) of descending (degree, digit) terms."""
+        if not terms:
+            return 0, 0
+        lo, enc, G = terms[-1][0], self.enc, self.G
+        return sum(enc[c] << G * (k - lo) for k, c in terms), lo
+
+    def _mod(self, v: int, width: int) -> int:
+        """Every slot of ``width`` bytes of v mod p."""
+        n = (v.bit_length() + 7) // 8
+        if width == 1:
+            return int.from_bytes(v.to_bytes(n, "little").translate(self.table), "little")
+        p = self.p
+        bs = v.to_bytes(-(-n // width) * width, "little")
+        return int.from_bytes(b"".join((int.from_bytes(bs[i:i + width], "little") % p)
+                                       .to_bytes(width, "little")
+                                       for i in range(0, len(bs), width)), "little")
+
+    def _fold(self, v: int, k: int, width: int, stride: int) -> int:
+        """v with slot k of each digit (``stride`` bytes a digit, slots of
+        ``width`` bytes, all reduced) replaced by u^k = u^(k-b) u^b."""
+        n = (v.bit_length() + 7) // 8
+        bs = v.to_bytes(n, "little")
+        top = bytearray(n)
+        for i in range(k * width, k * width + self.kb):
+            top[i::stride] = bs[i::stride]
+        t = int.from_bytes(top, "little")
+        v -= t
+        for i, c in self.fold:  # slot k of a digit to its slot k - b + i
+            v += c * (t >> (self.b - i) * 8 * width)
+        return self._mod(v, width)
+
+    def reduce(self, v: int) -> int:
+        """Every slot of v mod p, each digit folded to u-degree < b."""
+        v = self._mod(v, self.wb)
+        for k in range(2 * self.b - 2, self.b - 1, -1):
+            v = self._fold(v, k, self.wb, self.gb)
+        return v
+
+    def columns(self, v: int, lo: int, base: int) -> list:
+        """The columns of u^e times the reduced series v (lowest digit at
+        degree lo), e < b, from degree base up, the digits below base
+        dropped."""
+        v = v << self.G * (lo - base) if lo >= base else v >> self.G * (base - lo)
+        if self.direct:
+            return [v]
+        gb, sb, b = self.gb, self.sb, self.b
+        bs = v.to_bytes(-(-v.bit_length() // self.G) * gb, "little")
+        out = bytearray(len(bs) // gb * b * sb)
+        for r in range(b):
+            for i in range(self.kb):
+                out[r * sb + i::b * sb] = bs[r * self.wb + i::gb]
+        cols = [int.from_bytes(out, "little")]
+        for _ in range(1, b):  # u times the last: the slots shift up, slot b folds
+            col = cols[-1]
+            cols.append(self._fold(col << self.s, b, sb, b * sb))
+        return cols
+
+
 class MapCellData:
     """Per-cell cache shared by all atoms of a sweep over one map.
 
     A row's values at the cell center and its variation bounds at the cell
-    radius are evaluated, and packed into digit columns in the one layout
-    of ``SweepData``, the first time an atom reads the row; each part's
-    packed product is memoized per (row, part id).  Every cell condition
-    reads these columns: the witness atoms and ``ubiq.ResonantDistAtom``.
+    radius are evaluated, as digit columns in the one layout of
+    ``SweepData``, the first time an atom reads the row; each part's packed
+    product is memoized per (row, part id).  Every cell condition reads
+    these columns: the witness atoms and ``ubiq.ResonantDistAtom``.
+
+    A cell is evaluated in packed integers, never as Laurent series: the
+    coordinates of its center, an exact point (a windowed one raises
+    PrecisionError), are packed once and their powers built by one
+    integer product each (``center``), each monomial is its
+    coefficient's packed product with the powers (the coefficient 1
+    skipped), and a polynomial is the sum of its monomials at their lowest
+    degree, reduced once.  A coefficient known only to q^prec gives its
+    monomial the horizon prec + sum_j e_j top(x_j), the Laurent product's;
+    a zero coordinate makes the monomial exactly 0; a value's horizon is
+    its monomials' largest, and its digits below it are cleared.
+
     A point is a cell with zero variation (``at_point``): ``find_witness``
-    reads it through the same columns.
+    reads it through the same columns, packed from its Laurent values
+    f(x) and theta(x) in ``vals``; values set there (by a test as well)
+    are packed in place of the center's.
     """
 
-    __slots__ = ("sd", "cell", "vals", "vars", "cols", "packed")
+    __slots__ = ("sd", "cell", "vals", "vars", "cols", "packed", "center")
 
     def __init__(self, sd: SweepData, cell: Optional[Ball]):
         self.sd = sd
@@ -370,6 +547,7 @@ class MapCellData:
         self.vars: list = [None] * rows
         self.cols: list = [None] * rows
         self.packed: list = [{} for _ in range(rows)]
+        self.center = None
 
     @classmethod
     def at_point(cls, sd: SweepData, x: Sequence[Laurent]) -> "MapCellData":
@@ -387,14 +565,6 @@ class MapCellData:
         if data is None:
             data = ctx["mapcell"] = cls(sd, cell)
         return data
-
-    def _row(self, row: int) -> list:
-        vals = self.vals[row]
-        if vals is None:
-            center, r = self.cell.center, self.cell.radius_exp
-            vals = self.vals[row] = [g.eval(center) for g in self.sd.rows[row]]
-            self.vars[row] = [vt.var_exp(r) for vt in self.sd.tables[row]]
-        return vals
 
     def packed_sum(self, pids: Sequence[int], row: int) -> tuple[int, float, float]:
         """(packed digits, variation exponent, knowledge horizon) of the sum
@@ -424,21 +594,81 @@ class MapCellData:
         return acc, var + deg, prec + deg
 
     def _columns(self, row: int) -> list:
-        """The columns of one row."""
-        base = self.sd.fix(min(row, 1))
-        _, sb, _, slot = self.sd.slots
+        """The columns of one row: (b columns, variation, horizon) per g."""
+        sd = self.sd
+        base = sd.fix(min(row, 1))
+        if self.vals[row] is None:
+            r = self.cell.radius_exp
+            self.vars[row] = [vt.var_exp(r) for vt in sd.tables[row]]
+            lay = self._center()[0]
+            got = [self._eval(prog) for prog in lay.progs[row]]
+        else:
+            lay = sd.slots[3]
+            got = [lay.pack(v.terms) + (_NEG_INF if v.prec is None else v.prec,)
+                   for v in self.vals[row]]
+        sb = sd.slots[1]
         cols = []
-        for v, var in zip(self._row(row), self.vars[row]):
-            col = [0] * len(slot)
-            for k, c in v.terms:
-                if k < base:
-                    break
-                for e, digit in enumerate(slot):
-                    col[e] += digit[c] << sb * (k - base)
-            cols.append((col, _NEG_INF if var is None else var,
-                         _NEG_INF if v.prec is None else v.prec))
+        for (v, lo, prec), var in zip(got, self.vars[row]):
+            col = lay.columns(v, lo, base) if v else [0] * lay.b
+            if prec > base:  # the digits below the horizon are unknown
+                sh = (prec - base) * sb
+                col = [c >> sh << sh for c in col]
+            cols.append((col, _NEG_INF if var is None else var, prec))
         self.cols[row] = cols
         return cols
+
+    def _center(self) -> tuple:
+        """(layout, powers per coordinate, top degree per coordinate) of
+        the cell center; powers[j][e] = (packed x_j^e, its lowest degree),
+        None for a zero coordinate."""
+        if self.center is None:
+            spans, tops = [], []
+            for x in self.cell.center:
+                if x.prec is not None:
+                    raise PrecisionError("a cell center is an exact point")
+                t = x.terms
+                spans.append(t[0][0] - t[-1][0] + 1 if t else 0)
+                tops.append(t[0][0] if t else None)
+            lay = self.sd.layout(self.sd.width(tuple(spans)))
+            self.center = (lay, [[None, lay.pack(x.terms)] if x.terms else None
+                                 for x in self.cell.center], tops)
+        return self.center
+
+    def _eval(self, prog: list) -> tuple[int, int, float]:
+        """(reduced packed value, its lowest degree, horizon) of one
+        polynomial at the cell center."""
+        lay, powers, tops = self.center
+        parts = []
+        raw = False  # some part is an unreduced product
+        prec = _NEG_INF
+        for coef, exps, cprec in prog:
+            acc, last = coef, False
+            for j, e in exps:
+                pw = powers[j]
+                if pw is None:  # x_j = 0: the monomial is exactly 0
+                    break
+                while len(pw) <= e:
+                    (v, lo), (x, xlo) = pw[-1], pw[1]
+                    pw.append((lay.reduce(v * x), lo + xlo))
+                if cprec is not None:
+                    cprec += e * tops[j]
+                if acc is None:
+                    acc = pw[e]
+                else:
+                    v = lay.reduce(acc[0]) if last else acc[0]
+                    acc, last = (v * pw[e][0], acc[1] + pw[e][1]), True
+            else:
+                parts.append(acc if acc is not None else (lay.enc[1], 0))
+                raw = raw or last
+                if cprec is not None and cprec > prec:
+                    prec = cprec
+        if not parts:
+            return 0, 0, prec
+        if len(parts) == 1 and not raw:
+            return parts[0][0], parts[0][1], prec
+        lo = min(lo for _, lo in parts)
+        G = lay.G
+        return lay.reduce(sum(v << G * (vlo - lo) for v, vlo in parts)), lo, prec
 
 
 class WitnessAtom:

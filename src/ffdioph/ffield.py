@@ -931,16 +931,20 @@ class Ball:
         return other.radius_exp >= self.radius_exp and self.contains(other.center)
 
     def subdivide(self) -> Iterator["Ball"]:
-        """The q^d disjoint children of radius exponent radius_exp + 1."""
+        """The q^d disjoint children of radius exponent radius_exp + 1: each
+        coordinate c takes every digit a at degree -radius_exp, appended to
+        c's terms when c is exact and ends above that degree."""
         K = self.spec
-        r = self.radius_exp
-        digit_deg = -r
-        for digits in itertools.product(K.elements(), repeat=self.d):
-            center = tuple(
-                c + Laurent.monomial(K, a, digit_deg) if a else c
-                for c, a in zip(self.center, digits)
-            )
-            yield Ball(center, r + 1)
+        deg = -self.radius_exp
+        options = []
+        for c in self.center:
+            if c.prec is None and (not c.terms or c.terms[-1][0] > deg):
+                options.append([c] + [Laurent._make(K, c.terms + ((deg, a),), None)
+                                      for a in range(1, K.q)])
+            else:
+                options.append([c] + [c + Laurent.monomial(K, a, deg) for a in range(1, K.q)])
+        for center in itertools.product(*options):
+            yield Ball(center, self.radius_exp + 1)
 
     @classmethod
     def unit(cls, spec: FieldSpec, d: int, radius_exp: int = 0) -> "Ball":

@@ -238,7 +238,8 @@ class PolyAbsAtom:
 
     The variation bound on subcells comes from a VarTable built lazily over
     the first (largest) cell the engine presents; it is valid on all of that
-    cell's descendants.
+    cell's descendants.  The exponent of |g(center)| is kept in the cell's
+    ctx, so the atoms of one g at several thresholds evaluate g once a cell.
     """
 
     __slots__ = ("g", "tau", "_table")
@@ -252,7 +253,12 @@ class PolyAbsAtom:
         if self._table is None:
             self._table = VarTable(self.g, cell)
         var = self._table.var_exp(cell.radius_exp)
-        v_exp = self.g.eval(cell.center).abs_exp()
+        exps = ctx.setdefault("abs_exp", {})  # id(g) -> exponent of |g(center)|
+        key = id(self.g)
+        if key in exps:
+            v_exp = exps[key]
+        else:
+            v_exp = exps[key] = self.g.eval(cell.center).abs_exp()
         return compare_abs_leq(v_exp, var, self.tau)
 
 

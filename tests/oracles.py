@@ -233,12 +233,44 @@ def naive_W_measure(m, psi, theta_on, t0, t1, grid, depth):
     return total
 
 
+def center_row(data, row):
+    """(Laurent values, variation exponents) of one row of a MapCellData:
+    the values set in the data (a point's, or a test's), else each g of the
+    row evaluated at the cell center by MPoly.eval with its variation at
+    the cell radius."""
+    if data.vals[row] is not None:
+        return data.vals[row], data.vars[row]
+    center, r = data.cell.center, data.cell.radius_exp
+    return ([g.eval(center) for g in data.sd.rows[row]],
+            [vt.var_exp(r) for vt in data.sd.tables[row]])
+
+
+def laurent_columns(data, row):
+    """(columns, variation, horizon) of each g of one row of a MapCellData
+    whose kind's base is fixed, packed digit by digit from the Laurent
+    values of center_row: coordinate r of u^e times the digit at degree k,
+    by FieldSpec.mul, at bit s * (b * (k - base) + r) of column e."""
+    sd = data.sd
+    K, s = sd.m.spec, sd.slots[0]
+    base = sd.bases[min(row, 1)]
+    out = []
+    for v, var in zip(*center_row(data, row)):
+        cols = [0] * K.b
+        for k, c in v.terms:
+            for e in range(K.b if k >= base else 0):
+                uc = K.mul(K.p**e, c)
+                for r in range(K.b):
+                    cols[e] += uc // K.p**r % K.p << s * (K.b * (k - base) + r)
+        out.append((cols, float("-inf") if var is None else var,
+                    float("-inf") if v.prec is None else v.prec))
+    return out
+
+
 def laurent_combo(data, a, row):
     """(value at the cell center, variation bound exponent) of a . row plus
     the row's theta entry (0 when the map has no theta), as Laurent
     products of the cell's row values."""
-    vals = data._row(row)
-    vars_ = data.vars[row]
+    vals, vars_ = center_row(data, row)
     acc, var = vals[-1], vars_[-1]
     for ai, v, vi in zip(a, vals, vars_):
         if ai.is_zero:

@@ -295,10 +295,10 @@ def test_cell_data_fills_gradient_rows_only_on_request():
     for cell in GridSpec(F3, 2, 3).cells():
         ctx = {}
         s = WitnessAtom(sd, a, -3).status(cell, ctx)
-        assert [v is not None for v in ctx["mapcell"].vals] == [True, False, False]
+        assert [v is not None for v in ctx["mapcell"].cols] == [True, False, False]
         ctx = {}
         WitnessAtom(sd, a, -3, grad_lower=0).status(cell, ctx)
-        filled[s == OUT] = [v is not None for v in ctx["mapcell"].vals]
+        filled[s == OUT] = [v is not None for v in ctx["mapcell"].cols]
     assert filled == {True: [True, False, False], False: [True, True, True]}
 
 

@@ -350,6 +350,28 @@ def test_balls_disjoint_or_nested_random():
         assert inter_nested or disjoint
 
 
+def test_subdivide_children_equal_the_added_digit():
+    # an exact coordinate ending above degree -r takes the digit appended;
+    # the children are the ones of c + a X^-r, in the same order, for exact,
+    # zero and windowed coordinates and for a digit at or below -r
+    F4 = FieldSpec.from_order(4)
+    balls = [
+        Ball((Laurent(F3, [(0, 1), (-1, 2)]),), 2),
+        Ball((Laurent.zero(F4), Laurent(F4, [(-1, 3)])), 2),
+        Ball((Laurent(F3, [(-1, 1)], -5), Laurent.zero(F3)), 2),
+        Ball((Laurent(F3, [(-1, 1), (-3, 2)]),), 2),
+        Ball((Laurent(F2, [(-2, 1)]), Laurent(F2, [(-1, 1)])), 2),
+    ]
+    for ball in balls:
+        K, r = ball.spec, ball.radius_exp
+        want = [tuple(c + Laurent.monomial(K, a, -r) if a else c
+                      for c, a in zip(ball.center, digits))
+                for digits in itertools.product(K.elements(), repeat=ball.d)]
+        got = list(ball.subdivide())
+        assert [child.center for child in got] == want
+        assert {child.radius_exp for child in got} == {r + 1}
+
+
 def test_resolution_below_radius_rejected():
     with pytest.raises(ValueError):
         GridSpec(F2, 1, 0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laurent_dist_status
+from oracles import center_row, laurent_dist_status
 
 from ffdioph import ubiq
 from ffdioph.errors import PrecisionError
@@ -163,9 +163,9 @@ def _completed(data, fill):
     fill just below its window."""
     done = MapCellData(data.sd, data.cell)
     for r in (0, 1):
+        vals, done.vars[r] = center_row(data, r)
         done.vals[r] = [v if v.exact else Laurent(v.spec, v.terms + ((v.prec - 1, fill),))
-                        for v in data._row(r)]
-        done.vars[r] = data.vars[r]
+                        for v in vals]
     return done
 
 
