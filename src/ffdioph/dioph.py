@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .ffield import (
-    AbsValue,
     Ball,
     FieldSpec,
     GridSpec,
@@ -32,6 +31,7 @@ from .ffield import (
 )
 from .goodfn import (
     IN,
+    AtomGroup,
     OUT,
     UNKNOWN,
     MeasureResult,
@@ -147,12 +147,6 @@ def grad_exp(m: AnalyticMap, a: Sequence[Poly], x: Sequence[Laurent]) -> Optiona
     return max((e for e in exps if e is not None), default=None)
 
 
-def best_a0(z: Laurent) -> tuple[Poly, AbsValue]:
-    """The a0 minimizing |z + a0| over Lambda: a0 = -[z], value |{z}| <= 1/q."""
-    head, tail = z.poly_part()
-    return -head, tail.abs_value() if not tail.is_zero else AbsValue.zero()
-
-
 def find_witness(
     m: AnalyticMap,
     x: Sequence[Laurent],
@@ -169,21 +163,22 @@ def find_witness(
         return None
     atoms = _shell_atoms(m, t, strict_below(bound))
     data = MapCellData.at_point(atoms[0].sd, x)
+    hit = _decide(data, atoms)[0]
+    if hit is None:
+        return None
     vals = data.vals[0]
-    for atom in atoms:
-        if atom._value_status(data) == IN:
-            head, tail = lin_comb(vals[-1], atom.a, vals).poly_part()
-            return Witness(a=atom.a, a0=-head, value=tail, shell=t)
-    return None
+    head, tail = lin_comb(vals[-1], hit.a, vals).poly_part()
+    return Witness(a=hit.a, a0=-head, value=tail, shell=t)
 
 
 @functools.lru_cache(maxsize=32)
 def _shell_atoms(m: AnalyticMap, t: int, tau: int) -> tuple["WitnessAtom", ...]:
     """The witness atoms of shell t at threshold q^tau in enumerate_shell
-    order, on one SweepData of the map; built once per (map, t, tau), so
-    every point scan reads the same digit window."""
+    order, one a per F_q^*-orbit without theta (``orbit_firsts``), on one
+    SweepData of the map; built once per (map, t, tau), so every point scan
+    reads the same digit window."""
     sd = SweepData(m)
-    return tuple(WitnessAtom(sd, a, tau) for a in enumerate_shell(m.spec, m.n, t))
+    return tuple(WitnessAtom(sd, a, tau) for a in orbit_firsts(m, enumerate_shell(m.spec, m.n, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +238,9 @@ _NEG_INF = float("-inf")
 
 class SweepData:
     """Per-sweep data for one map.  Row 0 is f_1..f_n and theta (zero when
-    the map has none), row 1+j their partials d_j; every polynomial has a
-    VarTable over the sweep domain.  The sweep measures a.f + theta when the
+    the map has none), row 1+j their partials d_j; every polynomial of a row
+    has a VarTable over the sweep domain, built when the row is first read
+    (``row_tables``).  The sweep measures a.f + theta when the
     map has a theta and a.f when it has none: a homogeneous sweep of a map
     with theta takes ``m.homogeneous``.
 
@@ -260,9 +256,9 @@ class SweepData:
     times its shifted columns holds at most (p-1) + n(jmax+1)b(p-1)^2 in a
     slot, and (p-1) more with a packed constant a0 (``pack``); s is that
     bound's bit length rounded up to whole bytes, so no slot carries and
-    every slot is whole bytes of the integer.  The slots (s, s*b, slot
-    mask, the evaluation layout that packs reduced digits) are fixed when a
-    cell first builds columns, a kind's base when a cell first builds that
+    every slot is whole bytes of the integer.  The slots (s, s*b, the
+    evaluation layout that packs reduced digits) are fixed when a cell
+    first builds columns, a kind's base when a cell first builds that
     kind's columns; a later registration that would widen a fixed window
     raises ValueError.
 
@@ -271,16 +267,16 @@ class SweepData:
     of each monomial's coefficient (None for the coefficient 1) and its
     exponents, from which ``width`` sizes the working slots of a center."""
 
-    __slots__ = ("m", "rows", "tables", "part_ids", "parts", "jmax", "floors",
+    __slots__ = ("m", "dom", "rows", "tables", "part_ids", "parts", "jmax", "floors",
                  "bases", "slots", "shapes", "widths", "layouts")
 
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
-        dom = domain if domain is not None else m.resolved_domain
+        self.dom = domain if domain is not None else m.resolved_domain
         self.rows = [list(m.components) + [m.theta_or_zero]] + [list(r) for r in m.partials]
-        self.tables = [[VarTable(g, dom) for g in row] for row in self.rows]
+        self.tables: list = [None] * len(self.rows)
         self.part_ids: dict = {}   # (i, coefficients of a_i) -> part id
-        self.parts: list = []      # part id -> (i, deg a_i, ((j, e, alpha), ...))
+        self.parts: list = []      # part id -> its key, a _layout_part once slots are fixed
         self.jmax = 0              # largest deg a_i of a part
         self.floors: list = [None, None]  # per kind: lowest degree an atom reads
         self.bases: list = [None, None]   # per kind: lowest column degree
@@ -304,16 +300,12 @@ class SweepData:
         keys = [(i, ai.coeffs) for i, ai in enumerate(a) if not ai.is_zero]
         if self.m.theta is not None:
             keys.append((self.m.n, (1,)))
-        p, b = self.m.spec.p, self.m.spec.b
         ids = []
-        for i, coeffs in keys:
-            pid = self.part_ids.get((i, coeffs))
+        for key in keys:
+            pid = self.part_ids.get(key)
             if pid is None:
-                # alpha_{j,e}: F_p coordinate e of the coefficient of X^j
-                terms = tuple((j, e, c // p**e % p) for j, c in enumerate(coeffs)
-                              for e in range(b) if c // p**e % p)
-                pid = self.part_ids[i, coeffs] = len(self.parts)
-                self.parts.append((i, len(coeffs) - 1, terms))
+                pid = self.part_ids[key] = len(self.parts)
+                self.parts.append(self._layout_part(*key) if self.slots else key)
             ids.append(pid)
         return tuple(ids)
 
@@ -323,12 +315,28 @@ class SweepData:
             p, b = self.m.spec.p, self.m.spec.b
             bound = 2 * (p - 1) + self.m.n * (self.jmax + 1) * b * (p - 1) ** 2
             s = -(-bound.bit_length() // 8) * 8
-            self.slots = (s, s * b, (1 << s) - 1)
+            self.slots = (s, s * b)
             # slots wide enough for a reduced digit pack Laurent values and a0
             self.slots += (self.layout(-(-(p - 1).bit_length() // 8)),)
+            self.parts = [self._layout_part(*key) for key in self.parts]
         if self.bases[kind] is None:
             self.bases[kind] = self.floors[kind] - self.jmax
         return self.bases[kind]
+
+    def _layout_part(self, i: int, coeffs: tuple) -> tuple:
+        """(i, deg a_i, ((e, sum_j alpha_{j,e} X^j), ..)) of the part a_i f_i,
+        alpha_{j,e} the F_p coordinate e of a_i's coefficient of X^j: the
+        part is one product per column e (no slot carries)."""
+        p, sb = self.m.spec.p, self.slots[1]
+        mults = [(e, sum(c // p**e % p << sb * j for j, c in enumerate(coeffs)))
+                 for e in range(self.m.spec.b)]
+        return i, len(coeffs) - 1, tuple((e, m) for e, m in mults if m)
+
+    def row_tables(self, row: int) -> list:
+        """The VarTables of the polynomials of a row, built on first use."""
+        if self.tables[row] is None:
+            self.tables[row] = [VarTable(g, self.dom) for g in self.rows[row]]
+        return self.tables[row]
 
     def layout(self, width: int) -> "_CenterLayout":
         """The evaluation layout with working slots of ``width`` bytes."""
@@ -375,7 +383,7 @@ class SweepData:
     def pack(self, a0: Poly) -> int:
         """The digits of the polynomial a0 in the columns of row 0."""
         base = self.fix(0)
-        lay = self.slots[3]
+        lay = self.slots[2]
         terms = tuple((k, c) for k, c in reversed(tuple(enumerate(a0.coeffs))) if c)
         return lay.columns(*lay.pack(terms), base)[0] if terms else 0
 
@@ -428,7 +436,7 @@ class _CenterLayout:
     the columns of u^e times it there by the same fold."""
 
     __slots__ = ("p", "b", "wb", "gb", "G", "kb", "s", "sb", "direct", "enc",
-                 "table", "fold", "progs")
+                 "table", "zeros", "fold", "progs")
 
     def __init__(self, sd: SweepData, width: int):
         K = sd.m.spec
@@ -442,6 +450,7 @@ class _CenterLayout:
         self.direct = b == 1 and width == self.sb
         self.enc = [sum(c // p**r % p << 8 * width * r for r in range(b)) for c in K.elements()]
         self.table = bytes(v % p for v in range(256))
+        self.zeros = bytes(range(0, 256, p))  # the bytes that are 0 mod p
         self.fold = ()
         if b > 1:
             lead = pow(K.modulus[b], p - 2, p)
@@ -572,10 +581,7 @@ class MapCellData:
         packed = self.packed[row]
         val, var, prec = 0, _NEG_INF, _NEG_INF
         for pid in pids:
-            got = packed.get(pid)
-            if got is None:
-                got = packed[pid] = self._part(pid, row)
-            pv, pvar, pprec = got
+            pv, pvar, pprec = packed.get(pid) or self._part(pid, row)
             val += pv
             if pvar > var:
                 var = pvar
@@ -585,13 +591,12 @@ class MapCellData:
 
     def _part(self, pid: int, row: int) -> tuple[int, float, float]:
         cols = self.cols[row] or self._columns(row)
-        i, deg, terms = self.sd.parts[pid]
+        i, deg, mults = self.sd.parts[pid]
         col, var, prec = cols[i]
-        sb = self.sd.slots[1]
-        acc = 0
-        for j, e, alpha in terms:
-            acc += alpha * (col[e] << sb * j)
-        return acc, var + deg, prec + deg
+        v = 0
+        for e, m in mults:
+            v += col[e] * m
+        return self.packed[row].setdefault(pid, (v, var + deg, prec + deg))
 
     def _columns(self, row: int) -> list:
         """The columns of one row: (b columns, variation, horizon) per g."""
@@ -599,11 +604,11 @@ class MapCellData:
         base = sd.fix(min(row, 1))
         if self.vals[row] is None:
             r = self.cell.radius_exp
-            self.vars[row] = [vt.var_exp(r) for vt in sd.tables[row]]
+            self.vars[row] = [vt.var_exp(r) for vt in sd.row_tables(row)]
             lay = self._center()[0]
             got = [self._eval(prog) for prog in lay.progs[row]]
         else:
-            lay = sd.slots[3]
+            lay = sd.slots[2]
             got = [lay.pack(v.terms) + (_NEG_INF if v.prec is None else v.prec,)
                    for v in self.vals[row]]
         sb = sd.slots[1]
@@ -684,7 +689,8 @@ class WitnessAtom:
     has a nonzero digit at or above one degree: the value condition in row
     0 at a degree from max(tau, var) + 1 to -1, the gradient conditions per
     partial d_j in row 1+j at a degree of at least max(var + 1,
-    ceil(grad_lower)), or above max(grad_upper_tau, var).
+    ceil(grad_lower)), or above max(grad_upper_tau, var).  ``status`` and
+    ``_value_status`` are one-member calls of the loop of ``WitnessGroup``.
     """
 
     __slots__ = ("sd", "a", "tau", "grad_lower", "grad_upper_tau", "lower_deg", "parts")
@@ -704,34 +710,18 @@ class WitnessAtom:
         if reads:  # the same part ids as the value registration's
             self.parts = sd.register(self.a, 1, min(reads))
 
-    def status(self, cell: Ball, ctx: dict) -> int:
-        data = MapCellData.of(self.sd, cell, ctx)
-        s = self._value_status(data)
-        if s == OUT:
-            return OUT
-        overall = s
-        if self.grad_lower is not None or self.grad_upper_tau is not None:
-            gs = self._grad_status(data)
-            if gs == OUT:
-                return OUT
-            if gs == UNKNOWN:
-                overall = UNKNOWN
-        return overall
+    def status(self, cell: Ball, ctx: dict, grads: bool = True) -> int:
+        hit, rest = _decide(MapCellData.of(self.sd, cell, ctx), (self,), grads)
+        return IN if hit else UNKNOWN if rest else OUT
 
     def _value_status(self, data: MapCellData) -> int:
-        """Status of |{a.f + theta}| <= q^tau: OUT when some fractional
-        digit above max(tau, var) is nonzero."""
-        tau = self.tau
-        if tau >= -1:
-            return IN  # |{z}| <= 1/q always
-        val, var, prec = data.packed_sum(self.parts, 0)
-        if var > -1:
-            return UNKNOWN
-        if prec > -1:
-            raise PrecisionError("window does not reach degree -1")
-        if self._reaches(val, (tau if tau >= var else var) + 1, prec, 0, -1):
-            return OUT
-        return IN if var <= tau else UNKNOWN
+        """Status of |{a.f + theta}| <= q^tau alone."""
+        return self.status(data.cell, {"mapcell": data}, False)
+
+    def group(self, members: Sequence):
+        """The group of a label of members, this atom first."""
+        ok = all(type(a) is WitnessAtom and a.sd is self.sd for a in members)
+        return WitnessGroup(self.sd) if ok else AtomGroup()
 
     def _grad_status(self, data: MapCellData) -> int:
         """Status of the gradient conditions, per partial d_j of a.f
@@ -741,48 +731,84 @@ class WitnessAtom:
         when some d_j has a nonzero digit at a degree > max(tau, var), and
         otherwise UNKNOWN when some var > tau."""
         rows = [data.packed_sum(self.parts, row) for row in range(1, len(self.sd.rows))]
+        top = self.sd.top_digit
         out = IN
-        lower = self.lower_deg
-        if lower is not None:
-            unknown = False
-            for val, var, prec in rows:
-                if self._reaches(val, var + 1 if var >= lower else lower, prec, 1):
-                    break
-                if var >= lower:
-                    unknown = True
-            else:
-                if not unknown:
-                    return OUT
-                out = UNKNOWN
-        tau = self.grad_upper_tau
+        lower, tau = self.lower_deg, self.grad_upper_tau
+        if lower is not None and all(top(val, max(var + 1, lower), prec, 1) is None
+                                     for val, var, prec in rows):
+            if all(var < lower for _, var, _ in rows):
+                return OUT
+            out = UNKNOWN
         if tau is not None:
-            for val, var, prec in rows:
-                if self._reaches(val, (var if var > tau else tau) + 1, prec, 1):
-                    return OUT
-                if var > tau:
-                    out = UNKNOWN
+            if any(top(val, max(var, tau) + 1, prec, 1) is not None for val, var, prec in rows):
+                return OUT
+            if any(var > tau for _, var, _ in rows):
+                out = UNKNOWN
         return out
 
-    def _reaches(self, val: int, deg, prec: float, kind: int, top: Optional[int] = None) -> bool:
-        """Whether the packed sum val of a row of ``kind`` has a nonzero
-        digit at a degree >= deg (and <= top), reading b slots mod p a
-        digit.  Digits below the horizon prec are unknown: when they are the
-        only ones left to read, the value is indistinguishable from 0 and
-        PrecisionError is raised."""
-        start = deg if deg >= prec else prec
-        s, sb, mask, _ = self.sd.slots
-        spec = self.sd.m.spec
-        val >>= (start - self.sd.bases[kind]) * sb
-        # slots left to read (>= 0 past _value_status's exits); -1 never counts down to 0
-        count = -1 if top is None else (top + 1 - start) * spec.b
-        while val and count:
-            if (val & mask) % spec.p:
-                return True
-            val >>= s
-            count -= 1
-        if start > deg:
-            raise PrecisionError("digits indistinguishable from 0")
-        return False
+
+def _decide(data: MapCellData, live: Sequence[WitnessAtom], grads: bool = True) -> tuple:
+    """(the first member IN on the cell or None, the members UNKNOWN there)
+    of witness atoms read in order.  A member is OUT when a digit of its
+    packed sum from max(tau, var) + 1 to -1 is nonzero mod p (with one-byte
+    slots, a byte left once the multiples of p are deleted) or a gradient
+    condition fails (with ``grads``); PrecisionError as in ``top_digit``."""
+    rest, packed, sd = [], data.packed[0], data.sd
+    for atom in live:
+        s = IN
+        tau = atom.tau
+        if tau < -1:  # else |{z}| <= 1/q <= q^tau always
+            val, var, prec = 0, _NEG_INF, _NEG_INF
+            for pid in atom.parts:
+                pv, pvar, pprec = packed.get(pid) or data._part(pid, 0)
+                val += pv
+                if pvar > var:
+                    var = pvar
+                if pprec > prec:
+                    prec = pprec
+            if var <= -1:
+                if prec > -1:
+                    raise PrecisionError("window does not reach degree -1")
+                deg = (tau if tau >= var else var) + 1
+                start = deg if deg >= prec else prec
+                _, sb, lay = sd.slots
+                w = val >> (start - sd.bases[0]) * sb & (1 << -start * sb) - 1
+                if w and (lay._mod(w, lay.sb) if lay.sb > 1 else
+                          w.to_bytes(-start * sb >> 3, "little").translate(None, lay.zeros)):
+                    continue
+                if start > deg:
+                    raise PrecisionError("digits indistinguishable from 0")
+            if var > tau:
+                s = UNKNOWN
+        if grads and (atom.lower_deg is not None or atom.grad_upper_tau is not None):
+            g = atom._grad_status(data)
+            if g == OUT:
+                continue
+            if g == UNKNOWN:
+                s = UNKNOWN
+        if s == IN:
+            return atom, ()
+        rest.append(atom)
+    return None, tuple(rest)
+
+
+@dataclass(frozen=True)
+class WitnessGroup:
+    """A label of witness atoms on one SweepData: one call a cell."""
+
+    sd: SweepData
+
+    def status(self, cell: Ball, ctx: dict, live: Sequence[WitnessAtom]) -> tuple:
+        hit, rest = _decide(MapCellData.of(self.sd, cell, ctx), live)
+        return hit is not None, rest
+
+
+def orbit_firsts(m: AnalyticMap, vectors) -> Iterator:
+    """The a of ``vectors`` a sweep of m evaluates: every a with theta, else
+    (c.a for c in F_q^* has a nonzero digit where a has one) the a with a
+    monic first nonzero coordinate, its orbit's first in encoding order."""
+    return (a for a in vectors
+            if m.theta is not None or next((ai.coeffs[-1] for ai in a if ai.coeffs), 1) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -837,11 +863,9 @@ def measure_W(
     sd = SweepData(m, dom)
     atoms: list = []
     labels: list[int] = []
-    for t, tau in live:
-        if tau >= -1:
-            shell_atoms = [TrueAtom()]
-        else:
-            shell_atoms = [WitnessAtom(sd, a, tau) for a in enumerate_shell(m.spec, m.n, t)]
+    for t, tau in live:  # a shell with tau >= -1 holds every point
+        shell = orbit_firsts(m, enumerate_shell(m.spec, m.n, t)) if tau < -1 else ()
+        shell_atoms = [WitnessAtom(sd, a, tau) for a in shell] or [TrueAtom()]
         atoms.extend(shell_atoms)
         labels.extend([t] * len(shell_atoms))
     union = measure_union(atoms, dom, depth, labels)
@@ -884,7 +908,7 @@ def measure_bigA(
         raise ValueError("need 0 < eps < 1/2")
     dom = grid.resolved_domain
     sd = SweepData(m, dom)
-    boxes = [(max(tvec), sum(tvec), list(enumerate_exact_degrees(m.spec, tvec)))
+    boxes = [(max(tvec), sum(tvec), list(orbit_firsts(m, enumerate_exact_degrees(m.spec, tvec))))
              for tvec in tvecs]
     atoms, labels, tmaxes, taus = [], [], [], []
     for de in delta_exps:
@@ -906,9 +930,10 @@ def measure_bigA(
 
 def smallgrad_atoms(sd: SweepData, bounds: Sequence[int], tau_val: int, tau_grad: int) -> list:
     """Atoms of a small-gradient box: per nonzero a with deg a_i <=
-    bounds[i], |f.a + a_0| <= q^tau_val and ||grad(f.a)|| <= q^tau_grad."""
+    bounds[i] (one per F_q^*-orbit without theta), |f.a + a_0| <= q^tau_val
+    and ||grad(f.a)|| <= q^tau_grad."""
     return [WitnessAtom(sd, a, tau_val, grad_upper_tau=tau_grad)
-            for a in enumerate_box(sd.m.spec, bounds)
+            for a in orbit_firsts(sd.m, enumerate_box(sd.m.spec, bounds))
             if not all(p.is_zero for p in a)]
 
 

@@ -293,15 +293,6 @@ class AbsValue:
             return AbsValue.zero()
         return AbsValue(self.exp * Fraction(e))
 
-    def as_fraction(self, q: int) -> Fraction:
-        """Numeric value for integral exponents (exact)."""
-        if self.exp is None:
-            return Fraction(0)
-        if self.exp.denominator != 1:
-            raise ValueError(f"q^{self.exp} is not rational")
-        e = int(self.exp)
-        return Fraction(q**e) if e >= 0 else Fraction(1, q**-e)
-
     def __repr__(self) -> str:
         return "|0|" if self.exp is None else f"q^{self.exp}"
 
@@ -926,9 +917,6 @@ class Ball:
             if diff.maybe_zero and diff.prec > -self.radius_exp:
                 raise PrecisionError("membership undecidable at this precision")
         return True
-
-    def contains_ball(self, other: "Ball") -> bool:
-        return other.radius_exp >= self.radius_exp and self.contains(other.center)
 
     def subdivide(self) -> Iterator["Ball"]:
         """The q^d disjoint children of radius exponent radius_exp + 1: each

@@ -89,17 +89,6 @@ class QExp:
             raise ZeroDivisionError("division by zero QExp")
         return QExp(self.q, self.m / other.m, self.u - other.u)
 
-    def pow_rational(self, e) -> "QExp":
-        """Rational power; requires a pure q-power unless e is an integer."""
-        e = Fraction(e)
-        if e.denominator == 1:
-            return QExp(self.q, self.m ** int(e), self.u * e)
-        if self.m == 1:
-            return QExp(self.q, 1, self.u * e)
-        if self.m == 0:
-            return QExp.zero(self.q)
-        raise ValueError("fractional power of a non-q-power QExp is not exact")
-
     @classmethod
     def from_fraction(cls, q: int, f: Fraction) -> "QExp":
         return cls(q, f, 0)
@@ -177,17 +166,19 @@ def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
                   labels: Optional[Sequence] = None) -> MeasureResult:
     """Exact Haar measure of the union of the atoms' satisfaction sets.
 
-    Each atom must provide status(cell, ctx) -> IN | OUT | UNKNOWN, where IN
-    means every point of the cell satisfies the atom and OUT means no point
-    does.  ``ctx`` is a fresh dict per cell, shared by the atoms for caching.
-    Cells undecided at max_depth are tallied separately, never guessed.
+    An atom is IN on a cell when every point satisfies it, OUT when none
+    does.  ``labels`` (one per atom; by default all share one) groups the
+    atoms, and a label is decided on a cell by one call group.status(cell,
+    ctx, live) -> (is_in, survivors) over its atoms still UNKNOWN there: IN
+    as soon as one is IN, its other atoms then evaluated neither there nor
+    below.  The group (``_group``) is a TrueAtom the label holds, the one
+    its first atom's ``group(members)`` makes, or an ``AtomGroup``.  ``ctx``
+    is a fresh dict per cell, shared by the groups for caching.
 
-    ``labels`` (one per atom; by default all atoms share one) groups the
-    atoms.  A group is IN on a cell as soon as one of its atoms is, and its
-    other atoms are then evaluated neither there nor below; a cell is split
-    while some group has UNKNOWN atoms and no IN atom.  Each leaf is tallied
-    under its (labels IN, labels undecided), so one sweep yields the union
-    over every label set (``MeasureResult.restrict``).
+    A cell is split while some label has survivors and is not IN; cells
+    undecided at max_depth are tallied separately, never guessed.  Each leaf
+    is tallied under its (labels IN, labels undecided), so one sweep yields
+    the union over every label set (``MeasureResult.restrict``).
     """
     groups: dict = {}
     for a, lab in zip(atoms, [None] * len(atoms) if labels is None else labels):
@@ -195,23 +186,17 @@ def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
     singles = {lab: frozenset((lab,)) for lab in groups}
     none = frozenset()
     counts: dict = {}  # (labels IN, labels undecided, radius_exp) -> leaf cells
-    stack = [(domain, none, tuple((lab, tuple(g)) for lab, g in groups.items()))]
+    stack = [(domain, none, tuple((lab, _group(g), tuple(g)) for lab, g in groups.items()))]
     while stack:
         cell, ins, live = stack.pop()
         ctx: dict = {}
         survivors = []
-        for lab, group in live:
-            rest = []
-            for a in group:
-                s = a.status(cell, ctx)
-                if s == IN:
-                    ins = ins | singles[lab]
-                    break
-                if s == UNKNOWN:
-                    rest.append(a)
-            else:
-                if rest:
-                    survivors.append((lab, tuple(rest)))
+        for lab, group, members in live:
+            is_in, rest = group.status(cell, ctx, members)
+            if is_in:
+                ins = ins | singles[lab]
+            elif rest:
+                survivors.append((lab, group, rest))
         if not survivors:
             if ins:
                 key = (ins, none, cell.radius_exp)
@@ -221,12 +206,33 @@ def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
             for child in cell.subdivide():
                 stack.append((child, ins, survivors))
         else:
-            key = (ins, frozenset(lab for lab, _ in survivors), cell.radius_exp)
+            key = (ins, frozenset(lab for lab, _, _ in survivors), cell.radius_exp)
             counts[key] = counts.get(key, 0) + 1
     leaves: dict = {}
     for (ins, und, r), n in counts.items():
         leaves[ins, und] = leaves.get((ins, und), 0) + n * Ball(domain.center, r).measure()
     return MeasureResult.from_leaves(leaves, domain.spec.q, domain.d, max_depth)
+
+
+def _group(members: list):
+    """The group of one label's atoms (see ``measure_union``)."""
+    make = getattr(members[0], "group", None)
+    truth = next((a for a in members if type(a) is TrueAtom), None)
+    return truth or (make(members) if make else AtomGroup())
+
+
+class AtomGroup:
+    """A label decided by one status(cell, ctx) call per live atom."""
+
+    def status(self, cell: Ball, ctx: dict, live: Sequence) -> tuple:
+        rest = []
+        for a in live:
+            s = a.status(cell, ctx)
+            if s == IN:
+                return True, ()
+            if s == UNKNOWN:
+                rest.append(a)
+        return False, tuple(rest)
 
 
 class PolyAbsAtom:
@@ -236,18 +242,18 @@ class PolyAbsAtom:
     set has measure zero for nonzero g and the atom answers OUT on cells
     where the value dominates and UNKNOWN elsewhere.
 
-    The variation bound on subcells comes from a VarTable built lazily over
-    the first (largest) cell the engine presents; it is valid on all of that
-    cell's descendants.  The exponent of |g(center)| is kept in the cell's
-    ctx, so the atoms of one g at several thresholds evaluate g once a cell.
+    The variation bound on subcells comes from a VarTable of g over the
+    first (largest) cell the engine presents, given or built lazily; it is
+    valid on all of that cell's descendants.  The atoms of one g at several
+    thresholds share the table and, kept in the cell's ctx, |g(center)|.
     """
 
     __slots__ = ("g", "tau", "_table")
 
-    def __init__(self, g: MPoly, tau: Optional[int]):
+    def __init__(self, g: MPoly, tau: Optional[int], table: Optional[VarTable] = None):
         self.g = g
         self.tau = tau
-        self._table: Optional[VarTable] = None
+        self._table = table
 
     def status(self, cell: Ball, ctx: dict) -> int:
         if self._table is None:
@@ -263,12 +269,12 @@ class PolyAbsAtom:
 
 
 class TrueAtom:
-    """Vacuously satisfied condition (threshold above every possible value)."""
+    """Vacuously satisfied condition: the group of a label holding one, IN."""
 
     __slots__ = ()
 
-    def status(self, cell: Ball, ctx: dict) -> int:
-        return IN
+    def status(self, cell: Ball, ctx: dict, live: Sequence) -> tuple:
+        return True, ()
 
 
 class ConjAtom:
@@ -368,18 +374,18 @@ class SublevelReport:
         }
 
 
-def _sublevel_depth(g: MPoly, ball: Ball, tau: int, resolution: Optional[int],
+def _sublevel_depth(table: VarTable, ball: Ball, tau: int, resolution: Optional[int],
                     max_depth: Optional[int]) -> int:
     """Default refinement depth resolution + 4 (resolution defaulting to the
-    ball's radius exponent + 4), deepened with the coefficient size so that
-    decisions, which need the variation below the threshold, are
-    scaling-invariant."""
+    ball's radius exponent + 4), deepened with the size of g's coefficients
+    (its VarTable over the ball) so that decisions, which need the
+    variation below the threshold, are scaling-invariant."""
     if max_depth is not None:
         return max_depth
     if resolution is None:
         resolution = ball.radius_exp + 4
     depth = resolution + 4
-    bound = VarTable(g, ball).sup_exp
+    bound = table.sup_exp
     if bound is not None and bound > tau:
         depth = max(depth, ball.radius_exp + (bound - tau) + 1)
     return depth
@@ -399,8 +405,9 @@ def sublevel_measure(
     """
     eps_exp = Fraction(eps_exp)
     tau = strict_below(eps_exp)
-    depth = _sublevel_depth(g, ball, tau, resolution, max_depth)
-    res = measure_union([PolyAbsAtom(g, tau)], ball, depth)
+    table = VarTable(g, ball)
+    depth = _sublevel_depth(table, ball, tau, resolution, max_depth)
+    res = measure_union([PolyAbsAtom(g, tau, table)], ball, depth)
     return SublevelReport(
         ball=ball,
         eps_exp=eps_exp,
@@ -464,17 +471,19 @@ def certify_good(
     <= 1 and are admitted (the definition is vacuous there).  The sweep goes
     to the depth of the smallest epsilon, the deepest any epsilon needs.
     """
-    depth = _sublevel_depth(g, ball, strict_below(min(eps_exps, default=0)), resolution, None)
+    table = VarTable(g, ball)
+    depth = _sublevel_depth(table, ball, strict_below(min(eps_exps, default=0)), resolution, None)
     return _certify(ball, alpha, sup_norm_on_ball(g, ball), eps_exps,
-                    lambda tau: PolyAbsAtom(g, tau), depth)
+                    lambda tau: PolyAbsAtom(g, tau, table), depth)
 
 
 def certify_good_max(
     polys: Sequence[MPoly], ball: Ball, alpha, eps_exps: Sequence
 ) -> GoodnessCertificate:
     """Goodness certificate for x -> max_i |g_i(x)| (sup of a finite family)."""
+    tables = [VarTable(g, ball) for g in polys]
     return _certify(ball, alpha, sup_norm_family(polys, ball), eps_exps,
-                    lambda tau: ConjAtom([PolyAbsAtom(g, tau) for g in polys]),
+                    lambda tau: ConjAtom([PolyAbsAtom(g, tau, vt) for g, vt in zip(polys, tables)]),
                     ball.radius_exp + 8)
 
 

@@ -96,15 +96,6 @@ class LaurentMatrix:
     def cols(self) -> list[Vec]:
         return [self.col(j) for j in range(self.ncols)]
 
-    def matvec(self, v: Sequence[Laurent]) -> Vec:
-        out = []
-        for row in self.rows:
-            acc = Laurent.zero(self.spec)
-            for a, x in zip(row, v):
-                acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
-
     def det(self) -> Laurent:
         """Exact determinant by cofactor expansion (matrices here are tiny)."""
         if self.nrows != self.ncols:
@@ -181,10 +172,8 @@ def reduce_lattice(columns: Sequence[Sequence[Laurent]]) -> ReducedLattice:
     spec = columns[0][0].spec
     cols = [tuple(c) for c in columns]
     k = len(cols)
-    coeffs: list[list[Poly]] = [
-        [Poly.one(spec) if i == j else Poly.zero(spec) for i in range(k)]
-        for j in range(k)
-    ]
+    one, zero = Poly.one(spec), Poly.zero(spec)  # immutable: one object each
+    coeffs: list[list[Poly]] = [[one if i == j else zero for i in range(k)] for j in range(k)]
     norms: list[Optional[int]] = []
     for c in cols:
         e = sup_norm_vec(c)
@@ -438,9 +427,6 @@ class DiagonalScaling:
         return tuple(
             [-self.a0_exp] + [-self.astar_exp] * self.d + [-e for e in self.ai_exps]
         )
-
-    def det_abs_exp(self) -> int:
-        return sum(self.slot_exps)
 
     def matrix(self, spec: FieldSpec) -> LaurentMatrix:
         zero = Laurent.zero(spec)

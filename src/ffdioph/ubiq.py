@@ -259,11 +259,11 @@ class ResonantDistAtom:
         self.tau = tau
         self.sd = sd
         # weight >= 2 coefficient bounds for G recentered anywhere in the domain
-        tables = sd.tables[0]
+        tables = sd.row_tables(0)
         parts = [(vt, ai.deg) for ai, vt in zip(g.a, tables) if not ai.is_zero]
         self.sec = VarTable.fold(parts + [(tables[-1], 0)], min_weight=2)
         # the lowest degree a cell reads of d1 G, None when d1 G vanishes
-        tables = sd.tables[1]
+        tables = sd.row_tables(1)
         exps = [(vt.var_exp(max_depth), ai.deg) for ai, vt in zip(g.a, tables) if not ai.is_zero]
         exps.append((tables[-1].var_exp(max_depth), 0))
         var1 = max((v + k for v, k in exps if v is not None), default=None)

@@ -445,14 +445,6 @@ def multi_difference(
     return acc
 
 
-def formal_partial(g: MPoly, beta: MultiIndex) -> MPoly:
-    out = g
-    for j, e in enumerate(beta):
-        for _ in range(e):
-            out = out.partial(j)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # skew gradient and rescaling
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def center_row(data, row):
         return data.vals[row], data.vars[row]
     center, r = data.cell.center, data.cell.radius_exp
     return ([g.eval(center) for g in data.sd.rows[row]],
-            [vt.var_exp(r) for vt in data.sd.tables[row]])
+            [vt.var_exp(r) for vt in data.sd.row_tables(row)])
 
 
 def laurent_columns(data, row):

@@ -10,7 +10,6 @@ import pytest
 from oracles import laurent_combo, laurent_find_witness, naive_W_measure
 
 from ffdioph.ffield import (
-    AbsValue,
     Ball,
     FieldSpec,
     GridSpec,
@@ -25,7 +24,6 @@ from ffdioph.dioph import (
     MapCellData,
     SweepData,
     WitnessAtom,
-    best_a0,
     borel_cantelli_sum,
     classify_gradient,
     enumerate_exact_degrees,
@@ -75,33 +73,8 @@ def test_psi0():
 
 
 # ---------------------------------------------------------------------------
-# best_a0 and witnesses
+# witnesses
 # ---------------------------------------------------------------------------
-
-def test_best_a0_examples():
-    a0, v = best_a0(Laurent(F2, [(1, 1), (-1, 1)]))
-    assert a0 == Poly.X(F2) and v == AbsValue(-1)
-    a0, v = best_a0(Poly(F3, (1, 0, 2)).to_laurent())
-    assert a0 == -Poly(F3, (1, 0, 2)) and v.is_zero
-    a0, v = best_a0(Laurent(F3, [(-2, 1), (-5, 1)]))
-    assert a0.is_zero and v == AbsValue(-2)
-
-
-def test_best_a0_optimal_bruteforce():
-    rng = random.Random(4)
-    for _ in range(40):
-        spec = rng.choice([F2, F3])
-        z = Laurent(spec, [(d, rng.randrange(spec.q)) for d in range(-3, 3)])
-        a0, v = best_a0(z)
-        deg_cap = (z.top_deg if z.terms else 0) + 1
-        for enc in range(spec.q ** (deg_cap + 2)):
-            cand = Poly.from_encoding(spec, enc)
-            val = (z + cand.to_laurent())
-            if not val.is_zero:
-                assert val.abs_value() >= v
-            else:
-                assert v.is_zero
-
 
 def test_find_witness_line_example():
     w = find_witness(LINE2, [Laurent.X(F2, -1)], ApproxFn.power_law(2), 1)

@@ -153,7 +153,6 @@ def test_abs_zero():
 def test_abs_low_terms():
     z = Laurent(F3, [(-3, 1), (-5, 1)])
     assert z.abs_value() == AbsValue(-3)
-    assert z.abs_value().as_fraction(3) == Fraction(1, 27)
 
 
 def test_abs_maybe_zero_raises():
@@ -345,7 +344,8 @@ def test_balls_disjoint_or_nested_random():
         b1, b2 = rng.choice(cells), rng.choice(cells)
         r = rng.randrange(1, 4)
         big = Ball(b1.center, r)
-        inter_nested = big.contains_ball(b2) or b2.contains_ball(big)
+        inter_nested = (b2.radius_exp >= big.radius_exp and big.contains(b2.center)
+                        or big.radius_exp >= b2.radius_exp and b2.contains(big.center))
         disjoint = not big.contains(b2.center) and not b2.contains(big.center)
         assert inter_nested or disjoint
 

@@ -87,9 +87,6 @@ def test_qexp_mul_div_pow():
     b = QExp(2, Fraction(1, 2), -1)
     assert a * b == QExp(2, Fraction(3, 8), 1)
     assert a / b == QExp(2, Fraction(3, 2), 3)
-    assert QExp.qpow(2, Fraction(1, 3)).pow_rational(3) == QExp(2, 1, 1)
-    with pytest.raises(ValueError):
-        QExp(2, Fraction(3, 4), 0).pow_rational(Fraction(1, 2))
 
 
 def test_qexp_cross_base_rejected():
