@@ -31,7 +31,6 @@ from .ffield import (
 )
 from .goodfn import (
     IN,
-    AtomGroup,
     OUT,
     UNKNOWN,
     MeasureResult,
@@ -569,10 +568,11 @@ class MapCellData:
 
     @classmethod
     def of(cls, sd: SweepData, cell: Ball, ctx: dict) -> "MapCellData":
-        """The cell's data, made on the first request of the cell's sweep."""
-        data = ctx.get("mapcell")
+        """The cell's data for sd, made on the first request of the cell's
+        sweep; kept in ctx under sd."""
+        data = ctx.get(sd)
         if data is None:
-            data = ctx["mapcell"] = cls(sd, cell)
+            data = ctx[sd] = cls(sd, cell)
         return data
 
     def packed_sum(self, pids: Sequence[int], row: int) -> tuple[int, float, float]:
@@ -689,9 +689,14 @@ class WitnessAtom:
     has a nonzero digit at or above one degree: the value condition in row
     0 at a degree from max(tau, var) + 1 to -1, the gradient conditions per
     partial d_j in row 1+j at a degree of at least max(var + 1,
-    ceil(grad_lower)), or above max(grad_upper_tau, var).  ``status`` and
-    ``_value_status`` are one-member calls of the loop of ``WitnessGroup``.
+    ceil(grad_lower)), or above max(grad_upper_tau, var).
+
+    A witness atom decides a whole label of witness atoms on its SweepData
+    (``decides_labels``): ``status`` reads the live members in one loop,
+    and a member alone is the call with live = (member,).
     """
+
+    decides_labels = True
 
     __slots__ = ("sd", "a", "tau", "grad_lower", "grad_upper_tau", "lower_deg", "parts")
 
@@ -710,18 +715,11 @@ class WitnessAtom:
         if reads:  # the same part ids as the value registration's
             self.parts = sd.register(self.a, 1, min(reads))
 
-    def status(self, cell: Ball, ctx: dict, grads: bool = True) -> int:
-        hit, rest = _decide(MapCellData.of(self.sd, cell, ctx), (self,), grads)
-        return IN if hit else UNKNOWN if rest else OUT
-
-    def _value_status(self, data: MapCellData) -> int:
-        """Status of |{a.f + theta}| <= q^tau alone."""
-        return self.status(data.cell, {"mapcell": data}, False)
-
-    def group(self, members: Sequence):
-        """The group of a label of members, this atom first."""
-        ok = all(type(a) is WitnessAtom and a.sd is self.sd for a in members)
-        return WitnessGroup(self.sd) if ok else AtomGroup()
+    def status(self, cell: Ball, ctx: dict, live: Sequence["WitnessAtom"]) -> tuple:
+        """(is_in, survivors) of the live members of a label on the cell
+        (``_decide``): IN at the first member IN, else the UNKNOWN ones."""
+        hit, rest = _decide(MapCellData.of(self.sd, cell, ctx), live)
+        return hit is not None, rest
 
     def _grad_status(self, data: MapCellData) -> int:
         """Status of the gradient conditions, per partial d_j of a.f
@@ -747,12 +745,12 @@ class WitnessAtom:
         return out
 
 
-def _decide(data: MapCellData, live: Sequence[WitnessAtom], grads: bool = True) -> tuple:
+def _decide(data: MapCellData, live: Sequence[WitnessAtom]) -> tuple:
     """(the first member IN on the cell or None, the members UNKNOWN there)
     of witness atoms read in order.  A member is OUT when a digit of its
     packed sum from max(tau, var) + 1 to -1 is nonzero mod p (with one-byte
     slots, a byte left once the multiples of p are deleted) or a gradient
-    condition fails (with ``grads``); PrecisionError as in ``top_digit``."""
+    condition fails; PrecisionError as in ``top_digit``."""
     rest, packed, sd = [], data.packed[0], data.sd
     for atom in live:
         s = IN
@@ -780,7 +778,7 @@ def _decide(data: MapCellData, live: Sequence[WitnessAtom], grads: bool = True) 
                     raise PrecisionError("digits indistinguishable from 0")
             if var > tau:
                 s = UNKNOWN
-        if grads and (atom.lower_deg is not None or atom.grad_upper_tau is not None):
+        if atom.lower_deg is not None or atom.grad_upper_tau is not None:
             g = atom._grad_status(data)
             if g == OUT:
                 continue
@@ -790,17 +788,6 @@ def _decide(data: MapCellData, live: Sequence[WitnessAtom], grads: bool = True) 
             return atom, ()
         rest.append(atom)
     return None, tuple(rest)
-
-
-@dataclass(frozen=True)
-class WitnessGroup:
-    """A label of witness atoms on one SweepData: one call a cell."""
-
-    sd: SweepData
-
-    def status(self, cell: Ball, ctx: dict, live: Sequence[WitnessAtom]) -> tuple:
-        hit, rest = _decide(MapCellData.of(self.sd, cell, ctx), live)
-        return hit is not None, rest
 
 
 def orbit_firsts(m: AnalyticMap, vectors) -> Iterator:

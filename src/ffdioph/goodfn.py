@@ -171,8 +171,9 @@ def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
     atoms, and a label is decided on a cell by one call group.status(cell,
     ctx, live) -> (is_in, survivors) over its atoms still UNKNOWN there: IN
     as soon as one is IN, its other atoms then evaluated neither there nor
-    below.  The group (``_group``) is a TrueAtom the label holds, the one
-    its first atom's ``group(members)`` makes, or an ``AtomGroup``.  ``ctx``
+    below.  The group (``_group``) is a TrueAtom the label holds, else its
+    first atom when that decides labels (its class sets ``decides_labels``;
+    the label's atoms are then of its kind), else an ``AtomGroup``.  ``ctx``
     is a fresh dict per cell, shared by the groups for caching.
 
     A cell is split while some label has survivors and is not IN; cells
@@ -216,9 +217,9 @@ def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
 
 def _group(members: list):
     """The group of one label's atoms (see ``measure_union``)."""
-    make = getattr(members[0], "group", None)
     truth = next((a for a in members if type(a) is TrueAtom), None)
-    return truth or (make(members) if make else AtomGroup())
+    first = members[0]
+    return truth or (first if getattr(first, "decides_labels", False) else AtomGroup())
 
 
 class AtomGroup:

@@ -4,7 +4,9 @@ These deliberately avoid the production code paths they check: the shortest
 vector oracle triangularizes by polynomial Hermite elimination and then
 enumerates bounded coefficient vectors; the measure oracles sweep cells
 naively from the definitions; the witness oracle scans a shell, and the
-cell references decide a cell, with Laurent arithmetic.
+cell references decide a cell, with Laurent arithmetic.  The last two
+helpers are no oracles: they read one witness atom's answer from the
+package's label call, for the tests to compare with the oracles.
 """
 
 from __future__ import annotations
@@ -302,3 +304,16 @@ def laurent_dist_status(atom, data, cell):
         if (vvar is None or vvar <= thr) and (sec is None or sec < thr):
             return IN
     return UNKNOWN
+
+
+def member_status(atom, cell, ctx):
+    """IN, OUT or UNKNOWN of one witness atom: its label call alone."""
+    is_in, rest = atom.status(cell, ctx, (atom,))
+    return IN if is_in else UNKNOWN if rest else OUT
+
+
+def value_status(atom, data):
+    """Status of the value condition |{a.f + theta}| <= q^tau of a witness
+    atom alone, on the cell of data: the atom without its gradient bounds."""
+    bare = type(atom)(atom.sd, atom.a, atom.tau)
+    return member_status(bare, data.cell, {atom.sd: data})

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laurent_combo, laurent_find_witness, naive_W_measure
+from oracles import (
+    laurent_combo,
+    laurent_find_witness,
+    member_status,
+    naive_W_measure,
+    value_status,
+)
 
 from ffdioph.ffield import (
     Ball,
@@ -267,11 +273,11 @@ def test_cell_data_fills_gradient_rows_only_on_request():
     filled = {}
     for cell in GridSpec(F3, 2, 3).cells():
         ctx = {}
-        s = WitnessAtom(sd, a, -3).status(cell, ctx)
-        assert [v is not None for v in ctx["mapcell"].cols] == [True, False, False]
+        s = member_status(WitnessAtom(sd, a, -3), cell, ctx)
+        assert [v is not None for v in ctx[sd].cols] == [True, False, False]
         ctx = {}
-        WitnessAtom(sd, a, -3, grad_lower=0).status(cell, ctx)
-        filled[s == OUT] = [v is not None for v in ctx["mapcell"].cols]
+        member_status(WitnessAtom(sd, a, -3, grad_lower=0), cell, ctx)
+        filled[s == OUT] = [v is not None for v in ctx[sd].cols]
     assert filled == {True: [True, False, False], False: [True, True, True]}
 
 
@@ -352,7 +358,7 @@ def test_packed_value_status_matches_laurent_status():
                     datas = {s: MapCellData(s, cell) for s in (sd, hom)}
                     for atom in atoms:
                         data = datas[atom.sd]
-                        got = atom._value_status(data)
+                        got = value_status(atom, data)
                         assert got == _reference_value_status(data, atom), (spec, cell, atom.a)
                         seen.add(got)
                 with pytest.raises(ValueError):
@@ -384,7 +390,7 @@ def test_packed_value_status_precision_parity():
         datas = {s: MapCellData(s, cell) for s in sweeps}
         for atom in atoms:
             data = datas[atom.sd]
-            got = _outcome(atom._value_status, data)
+            got = _outcome(value_status, atom, data)
             ref = _outcome(_reference_value_status, data, atom)
             if ref != "raises":
                 assert got == ref
@@ -469,8 +475,8 @@ def test_packed_grad_status_matches_laurent_status():
                         got = atom._grad_status(data)
                         assert got == _reference_grad_status(data, atom), (spec, cell, atom.a)
                         seen.add(got)
-                        both = {atom._value_status(data), got}
-                        assert atom.status(cell, {"mapcell": data}) == (
+                        both = {value_status(atom, data), got}
+                        assert member_status(atom, cell, {atom.sd: data}) == (
                             OUT if OUT in both else UNKNOWN if UNKNOWN in both else IN)
     assert seen == {IN, OUT, UNKNOWN}
 
@@ -483,10 +489,10 @@ def test_digit_windows_fixed_when_columns_are_built():
     cell = next(iter(GridSpec(F3, 2, 3).cells()))
     value = WitnessAtom(sd, a, -3)
     # a cell that has built no columns fixes nothing: a deeper value floor goes
-    assert WitnessAtom(sd, a, -1).status(cell, {}) == IN
+    assert member_status(WitnessAtom(sd, a, -1), cell, {}) == IN
     WitnessAtom(sd, a, -5)
     assert sd.floors[0] == -4 and sd.bases[0] is None and sd.slots is None
-    value.status(cell, {})
+    member_status(value, cell, {})
     assert sd.bases[0] == -4 - a[0].deg and sd.slots is not None
     WitnessAtom(sd, a, -4)
     with pytest.raises(ValueError):
@@ -496,7 +502,7 @@ def test_digit_windows_fixed_when_columns_are_built():
     first = WitnessAtom(sd, a, -1, grad_lower=Fraction(1, 2))
     WitnessAtom(sd, a, -1, grad_upper_tau=-2)
     assert sd.floors[1] == -1 and sd.bases[1] is None
-    first.status(cell, {})
+    member_status(first, cell, {})
     assert sd.bases[1] == -1 - a[0].deg
     # later registrations that read no lower are accepted
     WitnessAtom(sd, a, -1, grad_lower=-1)

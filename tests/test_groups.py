@@ -1,7 +1,7 @@
 """Label groups and the F_q^*-orbit rule of the cell sweeps.
 
 measure_union decides each label by one ``group.status(cell, ctx, live)``
-call; these tests fold the members' one-member statuses by hand and compare.
+call; these tests fold the members' own statuses by hand and compare.
 Sweeps of a map without theta evaluate one a per F_q^*-orbit
 (``dioph.orbit_firsts``); these tests compare the kept vectors with the
 orbits built by scalar multiplication, and the measures and witnesses with
@@ -13,13 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laurent_find_witness, naive_W_measure
+from oracles import laurent_find_witness, member_status, naive_W_measure
 
 from ffdioph.dioph import (
     ApproxFn,
     SweepData,
     WitnessAtom,
-    WitnessGroup,
     enumerate_exact_degrees,
     find_witness,
     grad_exp,
@@ -40,7 +39,6 @@ from ffdioph.ffield import (
 )
 from ffdioph.goodfn import (
     IN,
-    OUT,
     UNKNOWN,
     AtomGroup,
     ConjAtom,
@@ -170,10 +168,11 @@ def test_find_witness_equals_laurent_scan(spec):
 # ---------------------------------------------------------------------------
 
 def _fold(members, cell, ctx):
-    """(is_in, survivors) from one status(cell, ctx) call per member."""
+    """(is_in, survivors) from one status call per member, a witness atom's
+    being its label call alone."""
     rest = []
     for a in members:
-        s = a.status(cell, ctx)
+        s = member_status(a, cell, ctx) if type(a) is WitnessAtom else a.status(cell, ctx)
         if s == IN:
             return True, ()
         if s == UNKNOWN:
@@ -251,7 +250,7 @@ def test_witness_group_equals_folded_member_statuses():
                 members.append(WitnessAtom(sd, a, rng.choice((-1, -2, -3)), **{kind: bound}))
         members += [WitnessAtom(sd, a, tau, **kw) for a, tau, kw in special]
         group = _group(members)
-        assert isinstance(group, WitnessGroup)
+        assert group is members[0]
         for cell in _random_cells(rng, m.resolved_domain, 7, 4) + spots:
             # live sets of several sizes, and each special member alone
             lives = [members[k:] for k in range(0, 14, 5)] + [[a] for a in members[14:]]
@@ -262,9 +261,9 @@ def test_witness_group_equals_folded_member_statuses():
     assert seen >= {(True, False), (False, True), (False, False), "raises"}, seen
 
 
-def test_one_member_calls_are_the_group_loop():
-    # status and _value_status of one member agree with a one-member group
-    # (value only: the member without its gradient conditions)
+def test_a_label_call_reads_its_members_not_its_caller():
+    # the atom that decides a label answers for each member as the member
+    # itself does: the caller lends only its SweepData
     rng = random.Random(12)
     m = veronese(F3, 2)
     sd = SweepData(m)
@@ -273,18 +272,12 @@ def test_one_member_calls_are_the_group_loop():
     for cell in _random_cells(rng, m.resolved_domain, 6, 3):
         ctx: dict = {}
         for atom in atoms:
-            is_in, rest = WitnessGroup(sd).status(cell, ctx, (atom,))
-            assert atom.status(cell, ctx) == (IN if is_in else UNKNOWN if rest else OUT)
-            bare = WitnessAtom(sd, atom.a, atom.tau)
-            is_in, rest = WitnessGroup(sd).status(cell, ctx, (bare,))
-            assert atom._value_status(ctx["mapcell"]) == (
-                IN if is_in else UNKNOWN if rest else OUT)
+            assert atoms[0].status(cell, ctx, (atom,)) == atom.status(cell, {}, (atom,))
 
 
 def test_adapter_groups_equal_folded_member_statuses():
     # PolyAbsAtom, ConjAtom and ResonantDistAtom labels go through AtomGroup,
-    # as do witness atoms of two SweepData, and a label with a TrueAtom is IN
-    # everywhere
+    # and a label with a TrueAtom is IN everywhere
     rng = random.Random(13)
     x = MPoly.var(F3, 1, 0)
     B = Ball.unit(F3, 1, 1)
@@ -297,8 +290,6 @@ def test_adapter_groups_equal_folded_member_statuses():
     fams = [ResonantFn(m=m, a0=one, a=(one, Poly.X(F3))), ResonantFn(m=m, a0=Poly.zero(F3),
                                                                       a=(Poly.X(F3), one))]
     dists = [ResonantDistAtom(g, tau, sd, 8) for g in fams for tau in (-1, -3)]
-    mixed = [WitnessAtom(SweepData(m, B), (one, one), -2), WitnessAtom(sd, (one, one), -2)]
-    assert type(_group(mixed)) is AtomGroup
     for members in (polys, conjs, dists):
         group = _group(members)
         assert type(group) is AtomGroup
@@ -313,3 +304,25 @@ def test_adapter_groups_equal_folded_member_statuses():
     union = measure_union(polys + conjs + dists, B, 8, labels)
     for lab, members in enumerate((polys, conjs, dists)):
         assert union.restrict([lab]).included == measure_union(members, B, 8).included
+
+
+def test_labels_on_two_sweep_datas_read_their_own_columns():
+    # witness labels of a map with theta and of its homogeneous part in one
+    # sweep: each cell keeps one MapCellData per SweepData, so each label's
+    # measure is its own sweep's
+    rng = random.Random(14)
+    theta = MPoly.const(F3, 1, Laurent(F3, [(-1, 1), (-3, 2)]))
+    m = veronese(F3, 2, theta=theta)
+    B = m.resolved_domain
+    labels, atoms = [], []
+    for lab, sd in enumerate((SweepData(m, B), SweepData(m.homogeneous, B))):
+        for _ in range(6):
+            a = _random_a(rng, F3, 2, rng.randint(0, 2))
+            atoms.append(WitnessAtom(sd, a, rng.choice((-2, -3, -4))))
+            labels.append(lab)
+    union = measure_union(atoms, B, 6, labels)
+    for lab in (0, 1):
+        own = measure_union([a for a, b in zip(atoms, labels) if b == lab], B, 6)
+        assert union.restrict([lab]).included == own.included
+        assert union.restrict([lab]).undecided == own.undecided
+    assert union.restrict([0]).included != union.restrict([1]).included

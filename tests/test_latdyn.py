@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import OracleBudgetExceeded, laurent_cols_to_poly, shortest_vector_oracle
+from oracles import (
+    OracleBudgetExceeded,
+    laurent_cols_to_poly,
+    member_status,
+    shortest_vector_oracle,
+    value_status,
+)
 
 from ffdioph.dioph import in_smallgrad_S_point
 from ffdioph.ffield import (
@@ -499,7 +505,7 @@ def test_qn_probe_agrees_with_membership_at_centers():
     seen = {IN: 0, OUT: 0, UNKNOWN: 0}
     for cell in GridSpec(F3, 1, 7, B).cells():
         ctx: dict = {}
-        statuses = {atom.status(cell, ctx) for atom in atoms}
+        statuses = {member_status(atom, cell, ctx) for atom in atoms}
         union = IN if IN in statuses else OUT if statuses == {OUT} else UNKNOWN
         seen[union] += 1
         if union != UNKNOWN:
@@ -523,14 +529,14 @@ def test_qn_gradient_bound_decides_centers():
     by_gradient = 0
     for cell in GridSpec(F3, 1, 6, B).cells():
         ctx: dict = {}
-        statuses = {atom.status(cell, ctx) for atom in atoms}
+        statuses = {member_status(atom, cell, ctx) for atom in atoms}
         union = IN if IN in statuses else OUT if statuses == {OUT} else UNKNOWN
         if union == UNKNOWN:
             continue
         member, _, _ = qn_membership(m, cell.center, D, eps)
         assert member == (union == IN), cell
-        data = ctx["mapcell"]
-        if union == OUT and any(atom._value_status(data) == IN for atom in atoms):
+        data = ctx[atoms[0].sd]
+        if union == OUT and any(value_status(atom, data) == IN for atom in atoms):
             by_gradient += 1
     assert by_gradient > 0
 
