@@ -1,8 +1,9 @@
 """ffdioph: exact Diophantine approximation experiments over F_q((1/X)).
 
 Subpackages mirror the pipeline: ffield (exact arithmetic and Haar-measure
-grids), ultracalc (difference quotients and skew gradients), goodfn (the
-cell engine, sublevel-set measures and (C, alpha)-goodness), dioph
+grids), ultracalc (difference quotients and skew gradients), cells (the
+cell engine: labelled sweeps and packed center evaluation), goodfn
+(sublevel-set measures and (C, alpha)-goodness), dioph
 (approximability measures), latdyn (lattice encoding and reduction), ubiq
 (resonant-set witnesses and divergence sums), xcli (experiment driver and
 command line).

@@ -1,7 +1,7 @@
 """(C, alpha)-goodness machinery: exact sup norms, sublevel-set measures and
 certified goodness constants.
 
-All measures are computed by an adaptive cell sweep.  A cell is decided once
+All measures come from the cell sweep of ``cells``.  A cell is decided once
 the value at its center dominates the certified variation bound on the cell
 (ultrametric mean value estimate); undecided cells are split until a maximum
 depth, and any survivors are reported as explicit undecided mass rather than
@@ -16,11 +16,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Optional, Sequence
 
-from .errors import PrecisionError
-from .ffield import AbsValue, Ball, Laurent, strict_below
-from .ultracalc import MPoly, VarTable, sup_norm_on_ball
-
-IN, OUT, UNKNOWN = 1, 0, -1
+from .cells import IN, OUT, UNKNOWN, MapCellData, SweepData, measure_union
+from .ffield import AbsValue, Ball, Poly, strict_below
+from .ultracalc import AnalyticMap, MPoly, sup_norm_on_ball
 
 
 @total_ordering
@@ -105,172 +103,47 @@ class QExp:
 
 
 # ---------------------------------------------------------------------------
-# adaptive cell engine
+# cell conditions on polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MeasureResult:
-    """Exact outcome of a cell sweep: included mass plus undecided slack.
-
-    ``leaves`` maps (labels IN, labels undecided) to the mass of the sweep's
-    leaves with those label sets; ``restrict`` reads off the union over any
-    set of labels.
-    """
-
-    included: Fraction
-    undecided: Fraction
-    q: int
-    d: int
-    max_depth: int
-    leaves: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @classmethod
-    def from_leaves(cls, leaves: dict, q: int, d: int, max_depth: int) -> "MeasureResult":
-        included = undecided = Fraction(0)
-        for (ins, und), mass in leaves.items():
-            if ins:
-                included += mass
-            elif und:
-                undecided += mass
-        return cls(included, undecided, q, d, max_depth, leaves)
-
-    def restrict(self, labels) -> "MeasureResult":
-        """The union over the atoms whose label lies in ``labels``: a leaf
-        counts as included when one of them is IN there, else as undecided
-        when one of them is undecided there."""
-        keep = frozenset(labels)
-        leaves: dict = {}
-        for (ins, und), mass in self.leaves.items():
-            key = (ins & keep, und & keep)
-            if key[0] or key[1]:
-                leaves[key] = leaves.get(key, 0) + mass
-        return MeasureResult.from_leaves(leaves, self.q, self.d, self.max_depth)
-
-    @property
-    def certified(self) -> bool:
-        return self.undecided == 0
-
-    @property
-    def measure(self) -> Fraction:
-        return self.included
-
-    def cell_count(self, resolution: int) -> int:
-        """Included mass as a count of resolution-cells (must be integral)."""
-        n = self.included * self.q ** (self.d * resolution)
-        if n.denominator != 1:
-            raise ValueError(f"measure not integral at resolution {resolution}")
-        return int(n)
-
-
-def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
-                  labels: Optional[Sequence] = None) -> MeasureResult:
-    """Exact Haar measure of the union of the atoms' satisfaction sets.
-
-    An atom is IN on a cell when every point satisfies it, OUT when none
-    does.  ``labels`` (one per atom; by default all share one) groups the
-    atoms, and a label is decided on a cell by one call group.status(cell,
-    ctx, live) -> (is_in, survivors) over its atoms still UNKNOWN there: IN
-    as soon as one is IN, its other atoms then evaluated neither there nor
-    below.  The group (``_group``) is a TrueAtom the label holds, else its
-    first atom when that decides labels (its class sets ``decides_labels``;
-    the label's atoms are then of its kind), else an ``AtomGroup``.  ``ctx``
-    is a fresh dict per cell, shared by the groups for caching.
-
-    A cell is split while some label has survivors and is not IN; cells
-    undecided at max_depth are tallied separately, never guessed.  Each leaf
-    is tallied under its (labels IN, labels undecided), so one sweep yields
-    the union over every label set (``MeasureResult.restrict``).
-    """
-    groups: dict = {}
-    for a, lab in zip(atoms, [None] * len(atoms) if labels is None else labels):
-        groups.setdefault(lab, []).append(a)
-    singles = {lab: frozenset((lab,)) for lab in groups}
-    none = frozenset()
-    counts: dict = {}  # (labels IN, labels undecided, radius_exp) -> leaf cells
-    stack = [(domain, none, tuple((lab, _group(g), tuple(g)) for lab, g in groups.items()))]
-    while stack:
-        cell, ins, live = stack.pop()
-        ctx: dict = {}
-        survivors = []
-        for lab, group, members in live:
-            is_in, rest = group.status(cell, ctx, members)
-            if is_in:
-                ins = ins | singles[lab]
-            elif rest:
-                survivors.append((lab, group, rest))
-        if not survivors:
-            if ins:
-                key = (ins, none, cell.radius_exp)
-                counts[key] = counts.get(key, 0) + 1
-        elif cell.radius_exp < max_depth:
-            survivors = tuple(survivors)
-            for child in cell.subdivide():
-                stack.append((child, ins, survivors))
-        else:
-            key = (ins, frozenset(lab for lab, _, _ in survivors), cell.radius_exp)
-            counts[key] = counts.get(key, 0) + 1
-    leaves: dict = {}
-    for (ins, und, r), n in counts.items():
-        leaves[ins, und] = leaves.get((ins, und), 0) + n * Ball(domain.center, r).measure()
-    return MeasureResult.from_leaves(leaves, domain.spec.q, domain.d, max_depth)
-
-
-def _group(members: list):
-    """The group of one label's atoms (see ``measure_union``)."""
-    truth = next((a for a in members if type(a) is TrueAtom), None)
-    first = members[0]
-    return truth or (first if getattr(first, "decides_labels", False) else AtomGroup())
-
-
-class AtomGroup:
-    """A label decided by one status(cell, ctx) call per live atom."""
-
-    def status(self, cell: Ball, ctx: dict, live: Sequence) -> tuple:
-        rest = []
-        for a in live:
-            s = a.status(cell, ctx)
-            if s == IN:
-                return True, ()
-            if s == UNKNOWN:
-                rest.append(a)
-        return False, tuple(rest)
+def poly_data(polys: Sequence[MPoly], ball: Ball) -> SweepData:
+    """The SweepData of polynomials g_1..g_k on a ball: the components of
+    a map without theta, so g_i is the one part of the unit vector e_i."""
+    return SweepData(AnalyticMap(ball.spec, ball.d, len(polys), tuple(polys), domain=ball))
 
 
 class PolyAbsAtom:
-    """Atom |g(x)| <= q^tau on a cell, for a fixed polynomial g.
+    """Atom |g_i(x)| <= q^tau on a cell, g_i polynomial i of a SweepData
+    over polynomials (``poly_data``).
 
-    tau=None means the threshold is 0, i.e. the condition is g(x) = 0; that
-    set has measure zero for nonzero g and the atom answers OUT on cells
-    where the value dominates and UNKNOWN elsewhere.
-
-    The variation bound on subcells comes from a VarTable of g over the
-    first (largest) cell the engine presents, given or built lazily; it is
-    valid on all of that cell's descendants.  The atoms of one g at several
-    thresholds share the table and, kept in the cell's ctx, |g(center)|.
+    |g_i(center)| is the top nonzero digit of g_i's packed center value
+    (``SweepData.top_digit``), var the exponent of its variation on the
+    cell: a digit above max(tau, var) makes |g_i| constant and above q^tau
+    on the cell (OUT); without one |g_i| <= q^max(tau, var) there, so the
+    atom is IN when var <= tau and UNKNOWN otherwise.  The atoms of one
+    SweepData share each cell's center evaluation (its MapCellData in ctx).
     """
 
-    __slots__ = ("g", "tau", "_table")
+    __slots__ = ("sd", "tau", "parts")
 
-    def __init__(self, g: MPoly, tau: Optional[int], table: Optional[VarTable] = None):
-        self.g = g
+    def __init__(self, sd: SweepData, i: int, tau: int):
+        self.sd = sd
         self.tau = tau
-        self._table = table
+        spec = sd.m.spec
+        a = [Poly.one(spec) if k == i else Poly.zero(spec) for k in range(sd.m.n)]
+        self.parts = sd.register(a, 0, tau + 1)
 
     def status(self, cell: Ball, ctx: dict) -> int:
-        if self._table is None:
-            self._table = VarTable(self.g, cell)
-        var = self._table.var_exp(cell.radius_exp)
-        exps = ctx.setdefault("abs_exp", {})  # id(g) -> exponent of |g(center)|
-        key = id(self.g)
-        if key in exps:
-            v_exp = exps[key]
-        else:
-            v_exp = exps[key] = self.g.eval(cell.center).abs_exp()
-        return compare_abs_leq(v_exp, var, self.tau)
+        val, var, prec = MapCellData.of(self.sd, cell, ctx).packed_sum(self.parts, 0)
+        if self.sd.top_digit(val, max(self.tau, var) + 1, prec, 0) is not None:
+            return OUT
+        return IN if var <= self.tau else UNKNOWN
 
 
 class TrueAtom:
-    """Vacuously satisfied condition: the group of a label holding one, IN."""
+    """Vacuously satisfied condition alone in its label: its group, IN."""
+
+    decides_labels = True
 
     __slots__ = ()
 
@@ -295,39 +168,6 @@ class ConjAtom:
             if s != IN:
                 all_in = False
         return IN if all_in else UNKNOWN
-
-
-def frac_exp(v: Laurent) -> Optional[int]:
-    """Exponent of |{v}|, None when the fractional part is zero."""
-    if v.prec is not None and v.prec > -1:
-        raise PrecisionError("window does not reach degree -1")
-    for d, _ in v.terms:
-        if d < 0:
-            return d
-    if v.prec is not None:
-        raise PrecisionError("fractional part indistinguishable from 0")
-    return None
-
-
-def compare_abs_leq(v_exp: Optional[int], var_exp: Optional[int], tau: Optional[int]) -> int:
-    """Decide |g(x)| <= q^tau for all/no x in a cell, given |g(center)| = q^v
-    and a variation bound q^var on the cell.  None exponents mean 0."""
-    if tau is None:
-        # condition g(x) = 0 exactly
-        if v_exp is None and var_exp is None:
-            return IN
-        if v_exp is not None and (var_exp is None or v_exp > var_exp):
-            return OUT
-        return UNKNOWN
-    if v_exp is None:
-        return IN if (var_exp is None or var_exp <= tau) else UNKNOWN
-    if var_exp is None:
-        return IN if v_exp <= tau else OUT
-    if v_exp <= tau and var_exp <= tau:
-        return IN
-    if v_exp > tau and v_exp > var_exp:
-        return OUT
-    return UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +215,18 @@ class SublevelReport:
         }
 
 
-def _sublevel_depth(table: VarTable, ball: Ball, tau: int, resolution: Optional[int],
-                    max_depth: Optional[int]) -> int:
+def _sublevel_depth(sd: SweepData, tau: int, resolution: Optional[int]) -> int:
     """Default refinement depth resolution + 4 (resolution defaulting to the
     ball's radius exponent + 4), deepened with the size of g's coefficients
-    (its VarTable over the ball) so that decisions, which need the
-    variation below the threshold, are scaling-invariant."""
-    if max_depth is not None:
-        return max_depth
+    (g the one polynomial of sd, its VarTable over the ball) so that
+    decisions, which need the variation below the threshold, are
+    scaling-invariant."""
     if resolution is None:
-        resolution = ball.radius_exp + 4
+        resolution = sd.dom.radius_exp + 4
     depth = resolution + 4
-    bound = table.sup_exp
+    bound = sd.row_tables(0)[0].sup_exp
     if bound is not None and bound > tau:
-        depth = max(depth, ball.radius_exp + (bound - tau) + 1)
+        depth = max(depth, sd.dom.radius_exp + (bound - tau) + 1)
     return depth
 
 
@@ -406,9 +244,9 @@ def sublevel_measure(
     """
     eps_exp = Fraction(eps_exp)
     tau = strict_below(eps_exp)
-    table = VarTable(g, ball)
-    depth = _sublevel_depth(table, ball, tau, resolution, max_depth)
-    res = measure_union([PolyAbsAtom(g, tau, table)], ball, depth)
+    sd = poly_data([g], ball)
+    depth = max_depth if max_depth is not None else _sublevel_depth(sd, tau, resolution)
+    res = measure_union([PolyAbsAtom(sd, 0, tau)], ball, depth)
     return SublevelReport(
         ball=ball,
         eps_exp=eps_exp,
@@ -472,19 +310,20 @@ def certify_good(
     <= 1 and are admitted (the definition is vacuous there).  The sweep goes
     to the depth of the smallest epsilon, the deepest any epsilon needs.
     """
-    table = VarTable(g, ball)
-    depth = _sublevel_depth(table, ball, strict_below(min(eps_exps, default=0)), resolution, None)
+    sd = poly_data([g], ball)
+    depth = _sublevel_depth(sd, strict_below(min(eps_exps, default=0)), resolution)
     return _certify(ball, alpha, sup_norm_on_ball(g, ball), eps_exps,
-                    lambda tau: PolyAbsAtom(g, tau, table), depth)
+                    lambda tau: PolyAbsAtom(sd, 0, tau), depth)
 
 
 def certify_good_max(
     polys: Sequence[MPoly], ball: Ball, alpha, eps_exps: Sequence
 ) -> GoodnessCertificate:
-    """Goodness certificate for x -> max_i |g_i(x)| (sup of a finite family)."""
-    tables = [VarTable(g, ball) for g in polys]
+    """Goodness certificate for x -> max_i |g_i(x)| (sup of a finite family);
+    the g_i share one SweepData, so one center evaluation a cell."""
+    sd = poly_data(polys, ball)
     return _certify(ball, alpha, sup_norm_family(polys, ball), eps_exps,
-                    lambda tau: ConjAtom([PolyAbsAtom(g, tau, vt) for g, vt in zip(polys, tables)]),
+                    lambda tau: ConjAtom([PolyAbsAtom(sd, i, tau) for i in range(len(polys))]),
                     ball.radius_exp + 8)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .dioph import SweepData, smallgrad_atoms
+from .cells import MeasureResult, SweepData, measure_union
+from .dioph import smallgrad_atoms
 from .errors import PrecisionError
 from .ffield import (
     AbsValue,
@@ -31,7 +32,7 @@ from .ffield import (
     enumerate_polys,
     strict_below,
 )
-from .goodfn import MeasureResult, QExp, TrueAtom, certify_good_max, measure_union
+from .goodfn import QExp, TrueAtom, certify_good_max
 from .ultracalc import AnalyticMap, MPoly
 
 Vec = tuple[Laurent, ...]
@@ -744,9 +745,8 @@ def qn_short_vector_atoms(
     for e in map(Fraction, eps_exps):
         tau0 = strict_below(e + D.a0_exp)
         # a~ = 0 with nonzero a~0 already satisfies everything
-        box = [TrueAtom()] if tau0 >= 0 else []
-        box += smallgrad_atoms(sd, [strict_below(e + b) for b in D.ai_exps], tau0,
-                               strict_below(e + D.astar_exp))
+        box = [TrueAtom()] if tau0 >= 0 else smallgrad_atoms(
+            sd, [strict_below(e + b) for b in D.ai_exps], tau0, strict_below(e + D.astar_exp))
         atoms += box
         labels += [e] * len(box)
     return atoms, labels

@@ -29,8 +29,8 @@ from .ffield import (
     shell_count,
     strict_below,
 )
-from .goodfn import IN, OUT, UNKNOWN, measure_union
-from .dioph import ApproxFn, MapCellData, SweepData, Witness, in_phi_f_point, lin_comb
+from .cells import IN, OUT, UNKNOWN, MapCellData, SweepData, measure_union
+from .dioph import ApproxFn, Witness, in_phi_f_point, lin_comb
 from .latdyn import LaurentMatrix, reduce_lattice
 from .ultracalc import AnalyticMap, MPoly, VarTable, row_combo
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from ffdioph.cells import IN, OUT, UNKNOWN
+from ffdioph.dioph import frac_exp
 from ffdioph.ffield import Laurent, Poly, enumerate_shell, strict_below
-from ffdioph.goodfn import IN, OUT, UNKNOWN, frac_exp
 
 
 def laurent_cols_to_poly(cols):
@@ -304,6 +305,28 @@ def laurent_dist_status(atom, data, cell):
         if (vvar is None or vvar <= thr) and (sec is None or sec < thr):
             return IN
     return UNKNOWN
+
+
+def compare_abs_leq(v_exp, var_exp, tau):
+    """Decide |g(x)| <= q^tau for all/no x in a cell, given |g(center)| = q^v
+    and a variation bound q^var on the cell.  None exponents mean 0."""
+    if v_exp is None:
+        return IN if (var_exp is None or var_exp <= tau) else UNKNOWN
+    if var_exp is None:
+        return IN if v_exp <= tau else OUT
+    if v_exp <= tau and var_exp <= tau:
+        return IN
+    if v_exp > tau and v_exp > var_exp:
+        return OUT
+    return UNKNOWN
+
+
+def laurent_poly_status(sd, i, tau, cell):
+    """The status of goodfn.PolyAbsAtom(sd, i, tau) on the cell from the
+    Laurent value of polynomial i of sd at the center (MPoly.eval) and
+    compare_abs_leq, with the variation of its VarTable over sd's domain."""
+    var = sd.row_tables(0)[i].var_exp(cell.radius_exp)
+    return compare_abs_leq(sd.rows[0][i].eval(cell.center).abs_exp(), var, tau)
 
 
 def member_status(atom, cell, ctx):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    compare_abs_leq,
     laurent_combo,
     laurent_find_witness,
     member_status,
@@ -27,13 +28,12 @@ from ffdioph.ffield import (
 from ffdioph.dioph import (
     ApproxFn,
     GRAD_EPS_DEFAULT,
-    MapCellData,
-    SweepData,
     WitnessAtom,
     borel_cantelli_sum,
     classify_gradient,
     enumerate_exact_degrees,
     find_witness,
+    frac_exp,
     in_I_t,
     in_phi_f_point,
     in_smallgrad_S_point,
@@ -46,7 +46,7 @@ from ffdioph.dioph import (
     psi0_exp,
 )
 from ffdioph.errors import PrecisionError
-from ffdioph.goodfn import IN, OUT, UNKNOWN, compare_abs_leq, frac_exp
+from ffdioph.cells import IN, OUT, UNKNOWN, MapCellData, SweepData
 from ffdioph.ultracalc import AnalyticMap, MPoly, veronese
 
 F2 = FieldSpec(2)
@@ -224,6 +224,8 @@ def test_w_intervals_of_one_sweep_match_naive_oracle():
     cases = [
         (VER, ApproxFn.shell_table([0, -3, -3]), False, GridSpec(F3, 1, 4), 7),
         (shifted, ApproxFn.shell_table([0, -2, -3]), True, GridSpec(F3, 1, 4), 7),
+        # Psi(shell 1) = 1: that shell holds every point
+        (shifted, ApproxFn.shell_table([0, 0, -3]), True, GridSpec(F3, 1, 4), 7),
         (line, ApproxFn.power_law(2), False, GridSpec(F2, 1, 5), 10),
     ]
     for m, psi, theta_on, grid, depth in cases:

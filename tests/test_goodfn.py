@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from ffdioph.cells import measure_union
 from ffdioph.ffield import AbsValue, Ball, FieldSpec, GridSpec, Laurent, strict_below
 from ffdioph.goodfn import (
     PolyAbsAtom,
     QExp,
     certify_good,
     good_bound_holds,
-    measure_union,
+    poly_data,
     sublevel_measure,
     sup_norm_on_ball,
 )
@@ -279,9 +280,9 @@ def test_orthonormal_fails_on_wedge_collapse():
 def test_measure_union_or_semantics():
     # union of |x| <= q^-2 and |x - X^-1| <= q^-2 inside X^-1 O
     ball = Ball.unit(F3, 1, 1)
-    a1 = PolyAbsAtom(MPoly.var(F3, 1, 0), -2)
     shifted = MPoly.var(F3, 1, 0) + MPoly.const(F3, 1, Laurent.monomial(F3, 2, -1))
-    a2 = PolyAbsAtom(shifted, -2)
+    sd = poly_data([MPoly.var(F3, 1, 0), shifted], ball)
+    a1, a2 = PolyAbsAtom(sd, 0, -2), PolyAbsAtom(sd, 1, -2)
     res = measure_union([a1, a2], ball, 6)
     assert res.certified and res.included == Fraction(2, 9)
 
@@ -290,7 +291,8 @@ def test_labelled_sweep_reads_every_subunion():
     # b's set sits inside a's, so cells IN for a stay live for b
     x = MPoly.var(F3, 1, 0)
     c = MPoly.const(F3, 1, Laurent.X(F3, -2))
-    atoms = [PolyAbsAtom(x, -1), PolyAbsAtom(x - c, -3), PolyAbsAtom(x * x, -3)]
+    sd = poly_data([x, x - c, x * x], O3)
+    atoms = [PolyAbsAtom(sd, 0, -1), PolyAbsAtom(sd, 1, -3), PolyAbsAtom(sd, 2, -3)]
     labels = ["a", "b", "a"]
     full = measure_union(atoms, O3, 6, labels)
     plain = measure_union(atoms, O3, 6)

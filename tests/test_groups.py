@@ -15,12 +15,13 @@ import pytest
 
 from oracles import laurent_find_witness, member_status, naive_W_measure
 
+from ffdioph.cells import IN, UNKNOWN, AtomGroup, SweepData, _group, measure_union
 from ffdioph.dioph import (
     ApproxFn,
-    SweepData,
     WitnessAtom,
     enumerate_exact_degrees,
     find_witness,
+    frac_exp,
     grad_exp,
     measure_W,
     measure_bigA,
@@ -37,17 +38,7 @@ from ffdioph.ffield import (
     enumerate_shell,
     strict_below,
 )
-from ffdioph.goodfn import (
-    IN,
-    UNKNOWN,
-    AtomGroup,
-    ConjAtom,
-    PolyAbsAtom,
-    TrueAtom,
-    _group,
-    frac_exp,
-    measure_union,
-)
+from ffdioph.goodfn import ConjAtom, PolyAbsAtom, TrueAtom, poly_data
 from ffdioph.ubiq import ResonantDistAtom, ResonantFn
 from ffdioph.ultracalc import AnalyticMap, MPoly, veronese
 
@@ -277,13 +268,14 @@ def test_a_label_call_reads_its_members_not_its_caller():
 
 def test_adapter_groups_equal_folded_member_statuses():
     # PolyAbsAtom, ConjAtom and ResonantDistAtom labels go through AtomGroup,
-    # and a label with a TrueAtom is IN everywhere
+    # and a TrueAtom, alone in its label, is the label's group: IN everywhere
     rng = random.Random(13)
     x = MPoly.var(F3, 1, 0)
     B = Ball.unit(F3, 1, 1)
     c = MPoly.const(F3, 1, Laurent(F3, [(-1, 1)]))
-    polys = [PolyAbsAtom(x, -2), PolyAbsAtom(x * x - c, -3), PolyAbsAtom(x - c, -1)]
-    conjs = [ConjAtom([PolyAbsAtom(x, -1), PolyAbsAtom(x - c, -2)]), ConjAtom(polys[:2])]
+    gs = poly_data([x, x * x - c, x - c], B)
+    polys = [PolyAbsAtom(gs, 0, -2), PolyAbsAtom(gs, 1, -3), PolyAbsAtom(gs, 2, -1)]
+    conjs = [ConjAtom([PolyAbsAtom(gs, 0, -1), PolyAbsAtom(gs, 2, -2)]), ConjAtom(polys[:2])]
     m = veronese(F3, 2)
     sd = SweepData(m, B)
     one = Poly.one(F3)
@@ -297,7 +289,7 @@ def test_adapter_groups_equal_folded_member_statuses():
             ctx: dict = {}
             assert group.status(cell, ctx, tuple(members)) == _fold(members, cell, {})
     truth = TrueAtom()
-    assert _group([polys[0], truth]) is truth
+    assert _group([truth]) is truth
     assert truth.status(B, {}, (polys[0],)) == (True, ())
     # labels of each kind in one sweep: each label's measure is its own sweep's
     labels = [0] * 3 + [1] * 2 + [2] * 4

@@ -24,7 +24,8 @@ from ffdioph.ffield import (
     enumerate_box,
     enumerate_polys,
 )
-from ffdioph.goodfn import IN, OUT, UNKNOWN, measure_union, sup_norm_family
+from ffdioph.cells import IN, OUT, UNKNOWN, measure_union
+from ffdioph.goodfn import sup_norm_family
 from ffdioph.latdyn import (
     LaurentMatrix,
     WedgeVector,

@@ -3,9 +3,11 @@ its tests, so the import graph of ffdioph stays acyclic by construction
 rather than by deferred imports, every function, class and method the
 package defines is referenced somewhere in the package or its tests, every
 imported name is used, every defaulted parameter has a caller that sets
-it, and only ``dioph`` reads the digit layout of a sweep."""
+it, only ``cells`` reads the digit layout of a sweep, and every hook of the
+benchmark's layer tracer names an attribute the package has."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 from typing import Optional
@@ -147,16 +149,50 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, f"{len(unset)} defaults no call sets: " + ", ".join(unset)
 
 
-def test_only_dioph_reads_the_digit_layout():
-    """SweepData's layout attributes (slot widths, column bases, read floors
-    and the largest shift) are read in dioph alone; every other module asks
-    dioph for packed sums and their digits."""
+def test_only_cells_reads_the_digit_layout():
+    """SweepData is defined in cells alone, and its layout attributes (slot
+    widths, column bases, read floors and the largest shift) are read there
+    alone; every other module asks cells for packed sums and their
+    digits."""
     layout = {"slots", "bases", "floors", "jmax"}
-    readers = []
+    readers: dict = {}
+    definers = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "dioph.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        readers += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr in layout]
-    assert not readers, "digit layout read outside dioph: " + ", ".join(readers)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in layout:
+                readers.setdefault(path.name, []).append(f"{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ClassDef) and node.name == "SweepData":
+                definers.append(path.name)
+    assert definers == ["cells.py"]
+    assert list(readers) == ["cells.py"], f"digit layout read outside cells: {readers}"
+
+
+def _tracer_spans() -> list:
+    """The (module, attribute, span) triples of the benchmark's layer
+    tracer, read from its source without running it."""
+    tree = ast.parse((ROOT / "bench" / "layertrace.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/layertrace.py defines no SPANS")
+
+
+def test_tracer_hooks_resolve():
+    """Every (module, attribute) the tracer hooks resolves on ffdioph, and
+    every hooked method sits in its class's own body, where the tracer
+    replaces it: moving one breaks the traced benchmark run."""
+    spans = _tracer_spans()
+    assert spans
+    missing = []
+    for modname, attr, _ in spans:
+        owner = importlib.import_module(f"ffdioph.{modname}")
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            cls = getattr(owner, cls_name, None)
+            if cls is None or meth not in vars(cls):
+                missing.append(f"{modname}.{attr}")
+        elif not hasattr(owner, attr):
+            missing.append(f"{modname}.{attr}")
+    assert not missing, "tracer hooks that do not resolve: " + ", ".join(missing)

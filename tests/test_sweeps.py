@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from ffdioph import dioph, goodfn, latdyn, ubiq
+from ffdioph.cells import measure_union
 from ffdioph.dioph import measure_bigA
 from ffdioph.ffield import Ball, FieldSpec, GridSpec, Laurent, strict_below
 from ffdioph.goodfn import (
@@ -20,7 +21,7 @@ from ffdioph.goodfn import (
     TrueAtom,
     certify_good,
     certify_good_max,
-    measure_union,
+    poly_data,
 )
 from ffdioph.latdyn import (
     DiagonalScaling,
@@ -110,7 +111,7 @@ def test_certify_good_rows_are_single_eps_sweeps(g, sweeps):
     [(_, _, depth, _)] = sweeps
     alones = []
     for e, measure, ratio in cert.rows:
-        alone = measure_union([PolyAbsAtom(g, strict_below(e))], O3, depth)
+        alone = measure_union([PolyAbsAtom(poly_data([g], O3), 0, strict_below(e))], O3, depth)
         assert measure == alone.included
         alones.append(alone)
         own = certify_good(g, O3, 1, [e], resolution=3)
@@ -125,7 +126,8 @@ def test_certify_good_max_rows_are_single_eps_sweeps(sweeps):
     [(_, _, depth, _)] = sweeps
     assert depth == O3.radius_exp + 8 and cert.certified
     for e, measure, _ in cert.rows:
-        atom = ConjAtom([PolyAbsAtom(g, strict_below(e)) for g in polys])
+        sd = poly_data(polys, O3)
+        atom = ConjAtom([PolyAbsAtom(sd, i, strict_below(e)) for i in range(len(polys))])
         assert measure == measure_union([atom], O3, depth).included
 
 

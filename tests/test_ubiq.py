@@ -12,8 +12,8 @@ from oracles import center_row, laurent_dist_status
 from ffdioph import ubiq
 from ffdioph.errors import PrecisionError
 from ffdioph.ffield import Ball, FieldSpec, GridSpec, Laurent, Poly
-from ffdioph.dioph import ApproxFn, MapCellData, SweepData, in_phi_f_point, measure_phi_f
-from ffdioph.goodfn import IN, OUT, UNKNOWN, measure_union
+from ffdioph.cells import IN, OUT, UNKNOWN, MapCellData, SweepData, measure_union
+from ffdioph.dioph import ApproxFn, in_phi_f_point, measure_phi_f
 from ffdioph.ubiq import (
     ResonantDistAtom,
     ResonantFn,
