@@ -86,34 +86,39 @@ def measure_union(atoms: Sequence, domain: Ball, max_depth: int,
     groups: dict = {}
     for a, lab in zip(atoms, [None] * len(atoms) if labels is None else labels):
         groups.setdefault(lab, []).append(a)
-    singles = {lab: frozenset((lab,)) for lab in groups}
-    none = frozenset()
+    names = list(groups)  # label k is bit k of the tallies' label sets
     counts: dict = {}  # (labels IN, labels undecided, radius_exp) -> leaf cells
-    stack = [(domain, none, tuple((lab, _group(g), tuple(g)) for lab, g in groups.items()))]
+    stack = [(domain, 0, tuple((1 << k, _group(g), tuple(g))
+                               for k, g in enumerate(groups.values())))]
     while stack:
         cell, ins, live = stack.pop()
         ctx: dict = {}
         survivors = []
-        for lab, group, members in live:
+        for bit, group, members in live:
             is_in, rest = group.status(cell, ctx, members)
             if is_in:
-                ins = ins | singles[lab]
+                ins |= bit
             elif rest:
-                survivors.append((lab, group, rest))
+                survivors.append((bit, group, rest))
         if not survivors:
             if ins:
-                key = (ins, none, cell.radius_exp)
+                key = (ins, 0, cell.radius_exp)
                 counts[key] = counts.get(key, 0) + 1
         elif cell.radius_exp < max_depth:
             survivors = tuple(survivors)
             for child in cell.subdivide():
                 stack.append((child, ins, survivors))
         else:
-            key = (ins, frozenset(lab for lab, _, _ in survivors), cell.radius_exp)
+            key = (ins, sum(bit for bit, _, _ in survivors), cell.radius_exp)
             counts[key] = counts.get(key, 0) + 1
+
+    def label_set(bits: int) -> frozenset:
+        return frozenset(lab for k, lab in enumerate(names) if bits >> k & 1)
+
     leaves: dict = {}
     for (ins, und, r), n in counts.items():
-        leaves[ins, und] = leaves.get((ins, und), 0) + n * Ball(domain.center, r).measure()
+        key = (label_set(ins), label_set(und))
+        leaves[key] = leaves.get(key, 0) + n * Ball(domain.center, r).measure()
     return MeasureResult.from_leaves(leaves, domain.spec.q, domain.d, max_depth)
 
 
@@ -145,11 +150,12 @@ _NEG_INF = float("-inf")
 class SweepData:
     """Per-sweep data for one map (goodfn's polynomials are the components
     of a map without theta).  Row 0 is f_1..f_n and theta (zero when the
-    map has none), row 1+j their partials d_j; every polynomial of a row
-    has a VarTable over the sweep domain, built when the row is first read
-    (``row_tables``).  The sweep measures a.f + theta when the map has a
-    theta and a.f when it has none: a homogeneous sweep of a map with theta
-    takes ``m.homogeneous``.
+    map has none), row 1+j their partials d_j, added when first needed
+    (``_gradient_rows``); every polynomial of a row has a VarTable over
+    the sweep domain, built when the row is first read (``row_tables``).
+    The sweep measures a.f + theta when the map has a theta and a.f when
+    it has none: a homogeneous sweep of a map with theta takes
+    ``m.homogeneous``.
 
     The atoms of the sweep register the parts of the functions they read:
     a_i * f_i for each nonzero a_i, and theta (part key (n, (1,))) when the
@@ -180,23 +186,35 @@ class SweepData:
     def __init__(self, m: AnalyticMap, domain: Optional[Ball] = None):
         self.m = m
         self.dom = domain if domain is not None else m.resolved_domain
-        self.rows = [list(m.components) + [m.theta_or_zero]] + [list(r) for r in m.partials]
-        self.tables: list = [None] * len(self.rows)
+        self.rows = [list(m.components) + [m.theta_or_zero]]
+        self.tables: list = [None]
         self.part_ids: dict = {}   # (i, coefficients of a_i) -> part id
         self.parts: list = []      # part id -> its key, a _layout_part once slots are fixed
         self.jmax = 0              # largest deg a_i of a part
         self.floors: list = [None, None]  # per kind: lowest degree an atom reads
         self.bases: list = [None, None]   # per kind: lowest column degree
         self.slots = None
-        self.shapes = [[[(_coeff_span(c), _exponents(mono)) for mono, c in g.terms.items()]
-                        for g in row] for row in self.rows]
+        self.shapes = [_shapes(self.rows[0])]
         self.widths: dict = {}     # digit spans of a center's coordinates -> slot bytes
         self.layouts: dict = {}    # slot bytes -> _CenterLayout
+
+    def _gradient_rows(self) -> None:
+        """Add the gradient rows and their shapes, on the first kind-1
+        registration or read of a gradient row's tables; a layout made
+        before them has no programs for them, so that raises ValueError."""
+        if len(self.rows) == 1:
+            if self.layouts:
+                raise ValueError("the gradient rows come after a layout is made")
+            self.rows += [list(r) for r in self.m.partials]
+            self.tables += [None] * self.m.d
+            self.shapes += [_shapes(row) for row in self.rows[1:]]
 
     def register(self, a: Sequence[Poly], kind: int, floor: int) -> tuple[int, ...]:
         """Part ids of a.f (+ theta) for an atom that reads the digits of the
         rows of ``kind`` from degree ``floor`` up; the ids are the same for
         every kind."""
+        if kind == 1:
+            self._gradient_rows()
         jmax = max([self.jmax] + [ai.deg for ai in a if not ai.is_zero])
         old = self.floors[kind]
         lo = floor if old is None else min(old, floor)
@@ -241,6 +259,8 @@ class SweepData:
 
     def row_tables(self, row: int) -> list:
         """The VarTables of the polynomials of a row, built on first use."""
+        if row:
+            self._gradient_rows()
         if self.tables[row] is None:
             self.tables[row] = [VarTable(g, self.dom) for g in self.rows[row]]
         return self.tables[row]
@@ -320,6 +340,12 @@ def _coeff_span(c: Laurent) -> Optional[int]:
     if c.prec is None and c.terms == ((0, 1),):
         return None
     return c.terms[0][0] - c.terms[-1][0] + 1 if c.terms else 0
+
+
+def _shapes(row: list) -> list:
+    """Per polynomial of a row, (``_coeff_span``, ``_exponents``) of each
+    monomial."""
+    return [[(_coeff_span(c), _exponents(mono)) for mono, c in g.terms.items()] for g in row]
 
 
 def _exponents(mono: tuple) -> tuple:
@@ -459,7 +485,7 @@ class MapCellData:
     def __init__(self, sd: SweepData, cell: Optional[Ball]):
         self.sd = sd
         self.cell = cell
-        rows = len(sd.rows)
+        rows = 1 + sd.m.d
         self.vals: list = [None] * rows
         self.vars: list = [None] * rows
         self.cols: list = [None] * rows

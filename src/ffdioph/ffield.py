@@ -503,7 +503,7 @@ class Laurent:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Laurent":
-        return cls(spec)
+        return cls._make(spec, (), None)
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Laurent":
@@ -639,7 +639,7 @@ class Laurent:
 
     def __neg__(self) -> "Laurent":
         K = self.spec
-        return Laurent(K, [(d, K.neg(c)) for d, c in self.terms], self.prec)
+        return Laurent._make(K, tuple((d, K.neg(c)) for d, c in self.terms), self.prec)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -680,14 +680,15 @@ class Laurent:
 
     def scale(self, c: int) -> "Laurent":
         K = self.spec
-        if c % K.q == 0:
+        c %= K.q
+        if c == 0:
             return Laurent.zero(K) if self.exact else Laurent(K, (), self.prec)
-        return Laurent(K, [(d, K.mul(c, x)) for d, x in self.terms], self.prec)
+        return Laurent._make(K, tuple((d, K.mul(c, x)) for d, x in self.terms), self.prec)
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by X^k (exact monomial)."""
         prec = None if self.prec is None else self.prec + k
-        return Laurent(self.spec, [(d + k, c) for d, c in self.terms], prec)
+        return Laurent._make(self.spec, tuple((d + k, c) for d, c in self.terms), prec)
 
     def truncate(self, prec: int) -> "Laurent":
         """Forget all coefficients below ``prec``."""
@@ -734,24 +735,35 @@ class Laurent:
         if den.is_zero:
             raise ZeroDivisionError("division by zero")
         K = self.spec
-        dd, cd = den.terms[0]
+        (dd, cd), low = den.terms[0], den.terms[1:]
         cd_inv = K.inv(cd)
-        rem = self
-        qterms: list[tuple[int, int]] = []
-        while rem.terms and rem.terms[0][0] - dd >= floor_deg:
-            dr, cr = rem.terms[0]
-            f = K.mul(cr, cd_inv)
-            qterms.append((dr - dd, f))
-            rem = rem - den.shift(dr - dd).scale(f)
-        exact = rem.is_zero and self.exact and den.exact
         # the quotient is only trustworthy where both inputs still are
         prec = floor_deg
-        if not exact:
-            if self.prec is not None:
-                prec = max(prec, self.prec - dd)
-            if den.prec is not None and self.terms:
-                prec = max(prec, den.prec + self.terms[0][0] - 2 * dd)
-        return Laurent(K, qterms, None if exact else prec)
+        if self.prec is not None:
+            prec = max(prec, self.prec - dd)
+        if den.prec is not None and self.terms:
+            prec = max(prec, den.prec + self.terms[0][0] - 2 * dd)
+        # the remainder's nonzero digits by degree: each step clears its top
+        # digit dr and changes only lower ones
+        rem = dict(self.terms)
+        qterms: list[tuple[int, int]] = []
+        dr = self.terms[0][0] if self.terms else 0
+        while rem and dr - dd >= prec:
+            cr = rem.pop(dr, 0)
+            if cr:
+                f = K.mul(cr, cd_inv)
+                qterms.append((dr - dd, f))
+                nf = K.neg(f)
+                for d, c in low:
+                    k = d + dr - dd
+                    v = K.add(rem.get(k, 0), K.mul(nf, c))
+                    if v:
+                        rem[k] = v
+                    else:
+                        rem.pop(k, None)
+            dr -= 1
+        exact = not rem and self.exact and den.exact
+        return Laurent._make(K, tuple(qterms), None if exact else prec)
 
     # -- decomposition ---------------------------------------------------
 

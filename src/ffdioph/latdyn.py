@@ -182,11 +182,9 @@ def reduce_lattice(columns: Sequence[Sequence[Laurent]]) -> ReducedLattice:
             raise ValueError("zero column: columns are not F-linearly independent")
         norms.append(e)
     steps: list[dict] = []
+    rows = range(len(cols[0]))
+    leads = [[cols[j][i].coeff(norms[j]) for i in rows] for j in range(k)]
     for _ in range(100000):
-        leads = [
-            [cols[j][i].coeff(norms[j]) for i in range(len(cols[j]))]
-            for j in range(k)
-        ]
         dep = fq_dependence(spec, leads)
         if dep is None:
             return ReducedLattice(
@@ -198,23 +196,38 @@ def reduce_lattice(columns: Sequence[Sequence[Laurent]]) -> ReducedLattice:
         support = [j for j, c in enumerate(dep) if c]
         j_star = max(support, key=lambda j: (norms[j], j))
         e_star = norms[j_star]
-        newcol = [Laurent.zero(spec)] * len(cols[0])
+        newcol = tuple(_combine(spec, [(cols[j][i], e_star - norms[j], dep[j]) for j in support])
+                       for i in rows)
         newcoef = [Poly.zero(spec)] * k
         for j in support:
-            shift = e_star - norms[j]
-            for i in range(len(newcol)):
-                newcol[i] = newcol[i] + cols[j][i].shift(shift).scale(dep[j])
-            mono = Poly(spec, (0,) * shift + (dep[j],))
+            mono = Poly(spec, (0,) * (e_star - norms[j]) + (dep[j],))
             for i in range(k):
                 newcoef[i] = newcoef[i] + coeffs[j][i] * mono
         steps.append({"column": j_star, "combo": {j: dep[j] for j in support}, "from_exp": e_star})
-        cols[j_star] = tuple(newcol)
+        cols[j_star] = newcol
         coeffs[j_star] = newcoef
         e = sup_norm_vec(newcol)
         if e is None:
             raise ValueError("columns are not F-linearly independent")
         norms[j_star] = e
+        leads[j_star] = [z.coeff(e) for z in newcol]
     raise RuntimeError("lattice reduction did not terminate (bug or bad input)")
+
+
+def _combine(spec: FieldSpec, parts: Sequence[tuple[Laurent, int, int]]) -> Laurent:
+    """sum c X^k z over the (z, k, c), in one pass over the terms: the
+    horizon is the largest z.prec + k, and digits below it are dropped."""
+    acc: dict[int, int] = {}
+    prec = None
+    add, mul = spec.add, spec.mul
+    for z, k, c in parts:
+        if z.prec is not None and (prec is None or z.prec + k > prec):
+            prec = z.prec + k
+        for d, x in z.terms:
+            acc[d + k] = add(acc.get(d + k, 0), mul(c, x))
+    return Laurent._make(spec, tuple(sorted(((d, x) for d, x in acc.items()
+                                              if x and (prec is None or d >= prec)),
+                                             reverse=True)), prec)
 
 
 # ---------------------------------------------------------------------------

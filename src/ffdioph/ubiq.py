@@ -24,6 +24,7 @@ from .ffield import (
     GridSpec,
     Laurent,
     Poly,
+    cofactor_det,
     enumerate_box,
     enumerate_polys,
     shell_count,
@@ -31,7 +32,7 @@ from .ffield import (
 )
 from .cells import IN, OUT, UNKNOWN, MapCellData, SweepData, measure_union
 from .dioph import ApproxFn, Witness, in_phi_f_point, lin_comb
-from .latdyn import LaurentMatrix, reduce_lattice
+from .latdyn import reduce_lattice
 from .ultracalc import AnalyticMap, MPoly, VarTable, row_combo
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,9 @@ def build_resonant_fn(
     spec = m.spec
     n = m.n
     t_prime = params.t_prime
-    red = reduce_lattice(minkowski_columns(m, x, t))
+    cols = minkowski_columns(m, x, t)
+    fx = [col[0].shift(-(n * t + 1)) for col in cols[1:]]  # f(x), read back from row 0
+    red = reduce_lattice(cols)
     minima = red.minima_exps
     # Finite-height reality: x outside Phi^f does not force lambda_1 > delta
     # at degenerate centers.  The construction proceeds regardless and the
@@ -390,10 +393,7 @@ def build_resonant_fn(
     short_gap_ok = minima[0] > delta_exp
     basis = red.by_norm()  # the g_j: the reduced basis sorted by norm
     gs = [coefs for _, coefs, _ in basis]  # each: (a_{j,0}, a_{j,1}..a_{j,n})
-    fx = m.eval(x)
-
-    def g_value(coefs) -> Laurent:
-        return lin_comb(coefs[0].to_laurent(), coefs[1:], fx)
+    gx = [lin_comb(cf[0].to_laurent(), cf[1:], fx) for cf in gs]  # the g_j(x)
 
     # audit of the short-vector bounds (the g_j estimates); they are
     # theorems only when the short-vector gap holds
@@ -405,8 +405,7 @@ def build_resonant_fn(
     }
     bound_val = n * t_prime - n * t
     bound_coef = n * t_prime + t
-    for coefs in gs:
-        gv = g_value(coefs)
+    for coefs, gv in zip(gs, gx):
         ge = gv.abs_exp()
         ce = max((p.deg for p in coefs[1:] if not p.is_zero), default=None)
         audit["g_j"].append({"value_exp": ge, "coef_exp": ce})
@@ -419,7 +418,7 @@ def build_resonant_fn(
     theta_x = m.eval_theta(x)
     *d1fx, d1_theta_x = (g.eval(x) for g in m.partials[0])
     rhs_main = Laurent.X(spec, n * t_prime + t + 1)
-    rows = [tuple(g_value(cf) for cf in gs)]
+    rows = [tuple(gx)]
     rhs = [-theta_x]
     rows.append(tuple(lin_comb(Laurent.zero(spec), cf[1:], d1fx) for cf in gs))
     rhs.append(rhs_main - d1_theta_x)
@@ -478,19 +477,34 @@ def construct_resonant_witness(
 
 
 def _solve_laurent(rows, rhs, floor_deg: int) -> list[Laurent]:
-    """Solve the square exact-Laurent system by Cramer determinants, each
-    quotient expanded down to floor_deg."""
+    """Solve the square Laurent system (k >= 2) by Cramer's rule, each
+    quotient expanded down to floor_deg.  One set of cofactors C_ij serves
+    every determinant: those of the rows i with rhs_i != 0 (row 0 when
+    there is none), each a minor by ``cofactor_det``.  The determinant is
+    the expansion along the first of those rows, and the numerator of
+    unknown j, the determinant with column j replaced by rhs, is
+    sum_i rhs_i C_ij."""
     k = len(rows)
-    mat = LaurentMatrix.from_rows(rows)
-    det = mat.det()
+    zero = Laurent.zero(rows[0][0].spec)
+    live = [i for i, b in enumerate(rhs) if not b.is_zero] or [0]
+    cof = {}
+    for i in live:
+        others = rows[:i] + rows[i + 1:]
+        for j in range(k):
+            c = cofactor_det([r[:j] + r[j + 1:] for r in others], zero)
+            cof[i, j] = -c if (i + j) % 2 else c
+    det = zero
+    for j, a in enumerate(rows[live[0]]):
+        if not a.is_zero:
+            det = det + a * cof[live[0], j]
     if not det.terms:
         raise ValueError("singular system (or undecidable at this precision)")
     sols = []
     for j in range(k):
-        cols = [list(mat.col(i)) for i in range(k)]
-        cols[j] = list(rhs)
-        dj = LaurentMatrix.from_cols(cols).det()
-        sols.append(dj.div_to_floor(det, floor_deg))
+        num = zero
+        for i in live:
+            num = num + rhs[i] * cof[i, j]
+        sols.append(num.div_to_floor(det, floor_deg))
     return sols
 
 

@@ -1,5 +1,5 @@
 """Ultrametric calculus on polynomial maps: difference quotients, skew
-gradients, rescaling operators and the normalization conditions.
+gradients and the normalization conditions.
 
 Maps are exact polynomial maps U in F^d -> F^n with Laurent coefficients.
 Every bound used here is ultrametric: the sup of a monomial c*x^beta over a
@@ -77,9 +77,6 @@ class MPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_deg(self) -> Optional[int]:
-        return max((weight(m) for m in self.terms), default=None)
 
     def __eq__(self, other) -> bool:
         return (
@@ -203,20 +200,6 @@ class MPoly:
             img = MPoly.var(self.spec, self.d, j) + MPoly.const(self.spec, self.d, cj)
             out = out.subs_axis(j, img)
         return out
-
-    def scale_vars(self, s: Laurent) -> "MPoly":
-        """g(s*x): multiply each monomial by s^|m|."""
-        acc: dict[MultiIndex, Laurent] = {}
-        pow_cache: dict[int, Laurent] = {0: Laurent.one(self.spec)}
-
-        def spow(e: int) -> Laurent:
-            if e not in pow_cache:
-                pow_cache[e] = spow(e - 1) * s
-            return pow_cache[e]
-
-        for m, c in self.terms.items():
-            acc[m] = c * spow(weight(m))
-        return MPoly(self.spec, self.d, acc)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -446,7 +429,7 @@ def multi_difference(
 
 
 # ---------------------------------------------------------------------------
-# skew gradient and rescaling
+# skew gradient
 # ---------------------------------------------------------------------------
 
 def skew_gradient(g1: MPoly, g2: MPoly) -> tuple[MPoly, ...]:
@@ -454,19 +437,6 @@ def skew_gradient(g1: MPoly, g2: MPoly) -> tuple[MPoly, ...]:
     return tuple(
         g1 * g2.partial(j) - g2 * g1.partial(j) for j in range(g1.d)
     )
-
-
-def rescale_recenter(g: MPoly, r: int, x1: Sequence[Laurent], l: int) -> MPoly:
-    """g_{q^r}(x) = g(X^r * x + x1) / X^(r l), exact.
-
-    With x1 = 0 this is the pure scaling P(X^r x)/X^(rl).  Requires
-    l >= deg g so the result stays polynomial with Laurent coefficients.
-    """
-    if g.total_deg() is not None and l < g.total_deg():
-        raise ValueError("degree bound l must be at least deg g")
-    spec = g.spec
-    out = g.recenter(x1).scale_vars(Laurent.X(spec, r))
-    return out.scale(Laurent.X(spec, -r * l))
 
 
 # ---------------------------------------------------------------------------

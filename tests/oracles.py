@@ -4,9 +4,13 @@ These deliberately avoid the production code paths they check: the shortest
 vector oracle triangularizes by polynomial Hermite elimination and then
 enumerates bounded coefficient vectors; the measure oracles sweep cells
 naively from the definitions; the witness oracle scans a shell, and the
-cell references decide a cell, with Laurent arithmetic.  The last two
-helpers are no oracles: they read one witness atom's answer from the
-package's label call, for the tests to compare with the oracles.
+cell references decide a cell, with Laurent arithmetic; the schoolbook
+Laurent helpers build every result through the normalizing constructor,
+and the step-by-step lattice reduction and the Cramer solve are the
+package's earlier forms of ``reduce_lattice`` and ``ubiq._solve_laurent``
+on them.  The last two helpers are no oracles: they read one witness
+atom's answer from the package's label call, for the tests to compare
+with the oracles.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from fractions import Fraction
 from ffdioph.cells import IN, OUT, UNKNOWN
 from ffdioph.dioph import frac_exp
 from ffdioph.ffield import Laurent, Poly, enumerate_shell, strict_below
+from ffdioph.latdyn import LaurentMatrix, ReducedLattice, fq_dependence, sup_norm_vec
 
 
 def laurent_cols_to_poly(cols):
@@ -340,3 +345,107 @@ def value_status(atom, data):
     atom alone, on the cell of data: the atom without its gradient bounds."""
     bare = type(atom)(atom.sd, atom.a, atom.tau)
     return member_status(bare, data.cell, {atom.sd: data})
+
+
+# ---------------------------------------------------------------------------
+# schoolbook Laurent helpers, lattice steps and the Cramer solve
+# ---------------------------------------------------------------------------
+
+def school_shift(z, k):
+    """X^k z, through the normalizing constructor."""
+    return Laurent(z.spec, [(d + k, c) for d, c in z.terms], None if z.prec is None else z.prec + k)
+
+
+def school_scale(z, c):
+    """c z for c in F_q, through the normalizing constructor."""
+    K = z.spec
+    if c % K.q == 0:
+        return Laurent.zero(K) if z.exact else Laurent(K, (), z.prec)
+    return Laurent(K, [(d, K.mul(c, x)) for d, x in z.terms], z.prec)
+
+
+def school_neg(z):
+    """-z, through the normalizing constructor."""
+    return Laurent(z.spec, [(d, z.spec.neg(c)) for d, c in z.terms], z.prec)
+
+
+def school_div_to_floor(num, den, floor_deg):
+    """num/den down to floor_deg by long division on a chain of Laurent
+    values: each step subtracts the shifted, scaled divisor from the
+    remainder, whose horizon is the sum's."""
+    K = num.spec
+    dd, cd = den.terms[0]
+    cd_inv = K.inv(cd)
+    rem, qterms = num, []
+    while rem.terms and rem.terms[0][0] - dd >= floor_deg:
+        dr, cr = rem.terms[0]
+        f = K.mul(cr, cd_inv)
+        qterms.append((dr - dd, f))
+        rem = rem + school_neg(school_scale(school_shift(den, dr - dd), f))
+    exact = rem.is_zero and num.exact and den.exact
+    prec = floor_deg
+    if not exact:
+        if num.prec is not None:
+            prec = max(prec, num.prec - dd)
+        if den.prec is not None and num.terms:
+            prec = max(prec, den.prec + num.terms[0][0] - 2 * dd)
+    return Laurent(K, qterms, None if exact else prec)
+
+
+def step_reduce_lattice(columns):
+    """Lattice reduction one Laurent operation at a time: every step
+    re-reads the leading vectors of all columns and forms the new column
+    as a sum of shifted, scaled columns, one addition at a time."""
+    spec = columns[0][0].spec
+    cols = [tuple(c) for c in columns]
+    k = len(cols)
+    coeffs = [[Poly.one(spec) if i == j else Poly.zero(spec) for i in range(k)] for j in range(k)]
+    norms = []
+    for c in cols:
+        e = sup_norm_vec(c)
+        if e is None:
+            raise ValueError("zero column")
+        norms.append(e)
+    steps = []
+    while True:
+        leads = [[z.coeff(norms[j]) for z in cols[j]] for j in range(k)]
+        dep = fq_dependence(spec, leads)
+        if dep is None:
+            return ReducedLattice(columns=cols, coeffs=[tuple(c) for c in coeffs],
+                                  norm_exps=list(norms), steps=steps)
+        support = [j for j, c in enumerate(dep) if c]
+        j_star = max(support, key=lambda j: (norms[j], j))
+        e_star = norms[j_star]
+        newcol = [Laurent.zero(spec)] * len(cols[0])
+        newcoef = [Poly.zero(spec)] * k
+        for j in support:
+            shift = e_star - norms[j]
+            for i in range(len(newcol)):
+                newcol[i] = newcol[i] + school_scale(school_shift(cols[j][i], shift), dep[j])
+            mono = Poly(spec, (0,) * shift + (dep[j],))
+            for i in range(k):
+                newcoef[i] = newcoef[i] + coeffs[j][i] * mono
+        steps.append({"column": j_star, "combo": {j: dep[j] for j in support}, "from_exp": e_star})
+        cols[j_star] = tuple(newcol)
+        coeffs[j_star] = newcoef
+        e = sup_norm_vec(newcol)
+        if e is None:
+            raise ValueError("columns are not F-linearly independent")
+        norms[j_star] = e
+
+
+def cramer_solve(rows, rhs, floor_deg):
+    """The square Laurent system by n + 2 full determinants: det A, and per
+    unknown j the determinant with column j replaced by rhs, each quotient
+    by school_div_to_floor."""
+    k = len(rows)
+    mat = LaurentMatrix.from_rows(rows)
+    det = mat.det()
+    if not det.terms:
+        raise ValueError("singular system (or undecidable at this precision)")
+    sols = []
+    for j in range(k):
+        cols = [list(mat.col(i)) for i in range(k)]
+        cols[j] = list(rhs)
+        sols.append(school_div_to_floor(LaurentMatrix.from_cols(cols).det(), det, floor_deg))
+    return sols

@@ -272,13 +272,16 @@ def test_cell_data_fills_gradient_rows_only_on_request():
     m = AnalyticMap(F3, 2, 2, (x1, x1 * x2 + x2 * x2))
     sd = SweepData(m)
     a = (Poly.X(F3), Poly.one(F3))
+    # both atoms register before a cell is read: the gradient rows come in
+    # with the first kind-1 registration, which a made layout refuses
+    value, grad = WitnessAtom(sd, a, -3), WitnessAtom(sd, a, -3, grad_lower=0)
     filled = {}
     for cell in GridSpec(F3, 2, 3).cells():
         ctx = {}
-        s = member_status(WitnessAtom(sd, a, -3), cell, ctx)
+        s = member_status(value, cell, ctx)
         assert [v is not None for v in ctx[sd].cols] == [True, False, False]
         ctx = {}
-        member_status(WitnessAtom(sd, a, -3, grad_lower=0), cell, ctx)
+        member_status(grad, cell, ctx)
         filled[s == OUT] = [v is not None for v in ctx[sd].cols]
     assert filled == {True: [True, False, False], False: [True, True, True]}
 
@@ -489,6 +492,9 @@ def test_digit_windows_fixed_when_columns_are_built():
     sd = SweepData(m)
     a = (Poly.X(F3), Poly.one(F3))
     cell = next(iter(GridSpec(F3, 2, 3).cells()))
+    # a gradient atom registers first: the gradient rows come in with the
+    # first kind-1 registration, before any layout is made
+    first = WitnessAtom(sd, a, -1, grad_lower=Fraction(1, 2))
     value = WitnessAtom(sd, a, -3)
     # a cell that has built no columns fixes nothing: a deeper value floor goes
     assert member_status(WitnessAtom(sd, a, -1), cell, {}) == IN
@@ -501,7 +507,6 @@ def test_digit_windows_fixed_when_columns_are_built():
         WitnessAtom(sd, a, -6)
     assert sd.floors[0] == -4
     # the value window is fixed, the gradient window is not: any floor goes
-    first = WitnessAtom(sd, a, -1, grad_lower=Fraction(1, 2))
     WitnessAtom(sd, a, -1, grad_upper_tau=-2)
     assert sd.floors[1] == -1 and sd.bases[1] is None
     member_status(first, cell, {})
@@ -516,6 +521,13 @@ def test_digit_windows_fixed_when_columns_are_built():
     with pytest.raises(ValueError):  # a wider shift widens the slots as well
         WitnessAtom(sd, (Poly.X(F3, 2), a[1]), -1, grad_lower=1)
     assert sd.floors[1] == -1
+    # once a cell has made a layout, the first gradient registration raises
+    sd = SweepData(m)
+    member_status(WitnessAtom(sd, a, -3), cell, {})
+    assert len(sd.rows) == 1
+    with pytest.raises(ValueError):
+        WitnessAtom(sd, a, -1, grad_lower=0)
+    assert len(sd.rows) == 1
 
 
 def test_slot_width_holds_a_packed_a0():

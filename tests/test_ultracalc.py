@@ -1,8 +1,7 @@
-"""Difference quotients, skew gradients, rescaling and condition checks."""
+"""Difference quotients, skew gradients and condition checks."""
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffdioph.ffield import AbsValue, Ball, FieldSpec, GridSpec, Laurent
@@ -15,7 +14,6 @@ from ffdioph.ultracalc import (
     difference_quotient,
     difference_quotient_recursive,
     multi_difference,
-    rescale_recenter,
     skew_gradient,
     veronese,
 )
@@ -254,44 +252,6 @@ def test_skew_gradient_antisymmetric_bilinear():
         c = Laurent.X(spec, 1)
         scaled = skew_gradient(g1.scale(c), g2)
         assert all(x == y.scale(c) for x, y in zip(scaled, s12))
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-# ---------------------------------------------------------------------------
-
-def test_rescale_identity_cases():
-    x = MPoly.var(F3, 1, 0)
-    assert rescale_recenter(x, -1, [Laurent.zero(F3)], 1) == x
-    x2 = mono(F3, 1, (2,))
-    assert rescale_recenter(x2, -1, [Laurent.zero(F3)], 2) == x2
-
-
-def test_rescale_coefficient_growth():
-    # g = x^2 + x, r = -1, l = 2: coefficient of x becomes X^{-r(l - 1)} = X
-    g = mono(F3, 1, (2,)) + MPoly.var(F3, 1, 0)
-    out = rescale_recenter(g, -1, [Laurent.zero(F3)], 2)
-    assert out.terms[(2,)] == Laurent.one(F3)
-    assert out.terms[(1,)] == Laurent.X(F3)
-
-
-def test_rescale_recenter_evaluation_consistency():
-    rng = random.Random(31)
-    for _ in range(20):
-        g = rand_mpoly(F3, rng, d=1, deg=3)
-        l = 4
-        x1 = [rand_point(F3, rng)]
-        out = rescale_recenter(g, -2, x1, l)
-        y = rand_point(F3, rng)
-        lhs = out.eval([y])
-        rhs = g.eval([Laurent.X(F3, -2) * y + x1[0]]) * Laurent.X(F3, 8)
-        assert lhs == rhs
-
-
-def test_rescale_degree_guard():
-    g = mono(F3, 1, (3,))
-    with pytest.raises(ValueError):
-        rescale_recenter(g, -1, [Laurent.zero(F3)], 2)
 
 
 # ---------------------------------------------------------------------------
