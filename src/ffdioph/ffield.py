@@ -251,10 +251,6 @@ class AbsValue:
     def zero(cls) -> "AbsValue":
         return cls(None)
 
-    @classmethod
-    def qpow(cls, e) -> "AbsValue":
-        return cls(e)
-
     @property
     def is_zero(self) -> bool:
         return self.exp is None
@@ -358,9 +354,6 @@ class Poly:
     def deg(self) -> Optional[int]:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
-
-    def abs_value(self) -> AbsValue:
-        return AbsValue.zero() if self.is_zero else AbsValue(self.deg)
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -690,38 +683,21 @@ class Laurent:
         prec = None if self.prec is None else self.prec + k
         return Laurent._make(self.spec, tuple((d + k, c) for d, c in self.terms), prec)
 
-    def truncate(self, prec: int) -> "Laurent":
-        """Forget all coefficients below ``prec``."""
-        if self.prec is not None and self.prec >= prec:
-            return self
-        return Laurent(self.spec, self.terms, prec)
-
     def inv(self, n_terms: Optional[int] = None) -> "Laurent":
-        """Multiplicative inverse, leading-term seed + ultrametric Newton.
+        """Multiplicative inverse, by long division of 1.
 
-        For an exact monomial the result is exact.  Otherwise the result is
-        correct on a window of ``n_terms`` coefficients (defaulting to the
-        operand's own window length, or DEFAULT_INV_TERMS for exact input).
+        For an exact monomial the result is exact.  Otherwise it is computed
+        on a window of ``n_terms`` coefficients (defaulting to the operand's
+        own window length, or DEFAULT_INV_TERMS for exact input), cut where
+        the operand's window stops determining 1/self.
         """
         if self.is_zero:
             raise ZeroDivisionError("inversion of zero")
         if self.maybe_zero:
             raise PrecisionError("cannot invert a value indistinguishable from 0")
-        K = self.spec
-        d0, c0 = self.terms[0]
-        if len(self.terms) == 1 and self.exact:
-            return Laurent.monomial(K, K.inv(c0), -d0)
         if n_terms is None:
             n_terms = self.window_len if not self.exact else DEFAULT_INV_TERMS
-        out_prec = -d0 - n_terms + 1
-        y = Laurent.monomial(K, K.inv(c0), -d0)
-        two = Laurent.const(K, 2 % K.p if K.b == 1 else K.add(1, 1))
-        # Newton: y <- y(2 - x y); correct terms double each pass.
-        correct = 1
-        while correct < n_terms:
-            y = (y * (two - (self * y))).truncate(out_prec)
-            correct *= 2
-        return Laurent(K, y.terms, out_prec)
+        return Laurent.one(self.spec).div_to_floor(self, -self.top_deg - n_terms + 1)
 
     def div_to_floor(self, den: "Laurent", floor_deg: int) -> "Laurent":
         """Quotient self/den with coefficients computed down to floor_deg.
@@ -987,25 +963,18 @@ class GridSpec:
         return self.spec.q ** (self.d * (self.N - r))
 
     def cells(self) -> Iterator[Ball]:
-        """All cells, deterministic order: per-coordinate digit counters,
-        degree -r first (most significant last)."""
-        K = self.spec
+        """All cells, deterministic order: each coordinate's digits come from
+        subdividing its 1-d domain ball down to resolution N (degree -r
+        slowest), and the cells are their product, first coordinate slowest."""
         dom = self.resolved_domain
-        r = dom.radius_exp
-        degs = range(-r, -self.N, -1)
-        ndig = self.N - r
         single: list[list[Laurent]] = []
-        for ci in dom.center:
-            opts = []
-            for digits in itertools.product(K.elements(), repeat=ndig):
-                z = ci
-                for k, a in zip(degs, digits):
-                    if a:
-                        z = z + Laurent.monomial(K, a, k)
-                opts.append(z)
-            single.append(opts)
+        for c in dom.center:
+            level = [Ball((c,), dom.radius_exp)]
+            for _ in range(self.N - dom.radius_exp):
+                level = [child for ball in level for child in ball.subdivide()]
+            single.append([ball.center[0] for ball in level])
         for combo in itertools.product(*single):
-            yield Ball(tuple(combo), self.N)
+            yield Ball(combo, self.N)
 
 
 def enumerate_polys(spec: FieldSpec, max_deg: int) -> Iterator[Poly]:

@@ -103,9 +103,6 @@ class LaurentMatrix:
             raise ValueError("determinant of a non-square matrix")
         return cofactor_det(self.rows, Laurent.zero(self.spec))
 
-    def to_json(self) -> list[list[str]]:
-        return [[str(z) for z in row] for row in self.rows]
-
 
 def fq_dependence(spec: FieldSpec, vecs: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """A nontrivial F_q-linear dependence among the vectors, or None.
@@ -151,10 +148,6 @@ class ReducedLattice:
     def minima_exps(self) -> list[int]:
         """Successive minima exponents lambda_1 <= ... <= lambda_k."""
         return sorted(self.norm_exps)
-
-    def shortest(self) -> tuple[Vec, tuple[Poly, ...], int]:
-        j = min(range(len(self.columns)), key=lambda i: self.norm_exps[i])
-        return self.columns[j], self.coeffs[j], self.norm_exps[j]
 
     def by_norm(self) -> list[tuple[Vec, tuple[Poly, ...], int]]:
         order = sorted(range(len(self.columns)), key=lambda i: (self.norm_exps[i], i))
@@ -451,9 +444,6 @@ class DiagonalScaling:
             for i in range(size)
         ))
 
-    def apply(self, v: Sequence[Laurent]) -> Vec:
-        return tuple(z.shift(e) for z, e in zip(v, self.slot_exps))
-
 
 def build_D(ceil: CeilEps, d: int) -> DiagonalScaling:
     """D from (a_0, a_*, a_i) = (X^-t, X^t', X^t_i) / ceil(eps).
@@ -479,20 +469,7 @@ def build_D(ceil: CeilEps, d: int) -> DiagonalScaling:
 
 def dux_columns(m: AnalyticMap, x: Sequence[Laurent], D: DiagonalScaling) -> list[Vec]:
     """Images under D U_x of the Gamma generators (e_0, e_1..e_n)."""
-    spec = m.spec
-    d, n = m.d, m.n
-    zero = Laurent.zero(spec)
-    fx = m.eval(x)
-    grads = [[m.partials[i][j].eval(x) for i in range(d)] for j in range(n)]
-    cols = []
-    col0 = [Laurent.one(spec)] + [zero] * (d + n)
-    cols.append(D.apply(col0))
-    for j in range(n):
-        col = [fx[j]] + [grads[j][i] for i in range(d)] + [
-            Laurent.one(spec) if jj == j else zero for jj in range(n)
-        ]
-        cols.append(D.apply(col))
-    return cols
+    return [tuple(p.eval(x) for p in col) for col in dux_symbolic_columns(m, D)]
 
 
 def qn_membership(
@@ -506,7 +483,7 @@ def qn_membership(
     Returns (member, witness (a0, a) or None, lambda_1 exponent).
     """
     red = reduce_lattice(dux_columns(m, x, D))
-    _, coefs, lam1 = red.shortest()
+    _, coefs, lam1 = red.by_norm()[0]
     member = AbsValue(lam1) < AbsValue(Fraction(eps_exp))
     if not member:
         return False, None, lam1

@@ -356,48 +356,22 @@ def complete_homogeneous(spec: FieldSpec, m: int, values: Sequence[Laurent]) -> 
 def difference_quotient(
     g: MPoly, k: int, axis: int, points: Sequence[Laurent]
 ) -> Laurent:
-    """The k-th order difference quotient of g along ``axis`` (0-based).
+    """The k-th order difference quotient of g along ``axis`` (0-based):
+    multi_difference with beta = k e_axis, for g univariate in that axis.
 
     Evaluates the unique polynomial extension bar-Phi^k, so coincident
     points are allowed; at pairwise-distinct points it agrees with the
-    recursive quotient.  The remaining coordinates of g must be specified
-    by evaluating first (1s elsewhere are not assumed); here g may depend
-    on axis only or the caller passes a full point via multi_difference.
+    recursive quotient.
     """
     if len(points) != k + 1:
         raise ValueError(f"need {k + 1} points for order {k}")
-    spec = g.spec
-    acc = Laurent.zero(spec)
-    for m, c in g.terms.items():
-        for j, e in enumerate(m):
-            if j != axis and e:
-                raise ValueError(
-                    "difference_quotient needs g univariate in the chosen axis; "
-                    "use multi_difference for several variables"
-                )
-        acc = acc + c * complete_homogeneous(spec, m[axis] - k, points)
-    return acc
-
-
-def difference_quotient_recursive(
-    g: MPoly, k: int, axis: int, points: Sequence[Laurent]
-) -> Laurent:
-    """Raw inductive quotient at pairwise distinct points (test oracle)."""
-    if k == 0:
-        return g.eval(_axis_point(g, axis, points[0]))
-    a = difference_quotient_recursive(g, k - 1, axis, (points[0],) + tuple(points[2:]))
-    b = difference_quotient_recursive(g, k - 1, axis, tuple(points[1:]))
-    num, den = a - b, points[0] - points[1]
-    if den.is_zero:
-        raise ZeroDivisionError("coincident points in the recursive quotient")
-    if not num.terms:
-        prec = None if num.prec is None else num.prec - den.top_deg
-        return Laurent(g.spec, (), prec)
-    return num.div_to_floor(den, num.top_deg - den.top_deg - 64)
-
-
-def _axis_point(g: MPoly, axis: int, x: Laurent) -> list[Laurent]:
-    return [x if j == axis else Laurent.zero(g.spec) for j in range(g.d)]
+    if any(e for m in g.terms for j, e in enumerate(m) if j != axis):
+        raise ValueError(
+            "difference_quotient needs g univariate in the chosen axis; "
+            "use multi_difference for several variables"
+        )
+    beta = tuple(k if j == axis else 0 for j in range(g.d))
+    return multi_difference(g, beta, [points if j == axis else points[:1] for j in range(g.d)])
 
 
 def multi_difference(

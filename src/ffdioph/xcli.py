@@ -67,37 +67,37 @@ _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 def parse_mpoly(s: str, spec: FieldSpec, d: int) -> MPoly:
     """Parse 'x1^2', '(X^-1+1)*x1*x2^2', '2*x1+X^2*x2', '0'."""
-    s = s.strip()
     acc = MPoly.zero(spec, d)
-    for term in _split_top(s):
+    for term in _split_depth0(s, "+"):
         acc = acc + _parse_term(term, spec, d)
     return acc
 
 
-def _split_top(s: str) -> list[str]:
+def _split_depth0(s: str, sep: str) -> list[str]:
+    """The pieces of s between the occurrences of sep outside parentheses."""
     out, cur, depth = [], "", 0
     for ch in s:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "+" and depth == 0 and cur and not cur.rstrip().endswith("^"):
+        if ch == sep and depth == 0:
             out.append(cur)
             cur = ""
         else:
             cur += ch
-    if cur.strip():
-        out.append(cur)
+    out.append(cur)
     return out
 
 
 def _parse_term(term: str, spec: FieldSpec, d: int) -> MPoly:
     coeff = Laurent.one(spec)
     expo = [0] * d
-    for raw in _split_factors(term):
+    for raw in _split_depth0(term, "*"):
         f = raw.strip()
         if not f:
-            continue
+            raise ValueError(f"empty factor in term {term.strip()!r}" if term.strip()
+                             else "empty term")
         m = _VAR_RE.match(f)
         if m:
             j = int(m.group(1)) - 1
@@ -113,23 +113,6 @@ def _parse_term(term: str, spec: FieldSpec, d: int) -> MPoly:
     if coeff.is_zero:
         return MPoly.zero(spec, d)
     return MPoly.monomial(spec, d, tuple(expo), coeff)
-
-
-def _split_factors(term: str) -> list[str]:
-    out, cur, depth = [], "", 0
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            out.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur:
-        out.append(cur)
-    return out
 
 
 _PSI_RE = re.compile(

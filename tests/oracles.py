@@ -10,7 +10,9 @@ and the step-by-step lattice reduction and the Cramer solve are the
 package's earlier forms of ``reduce_lattice`` and ``ubiq._solve_laurent``
 on them.  The last two helpers are no oracles: they read one witness
 atom's answer from the package's label call, for the tests to compare
-with the oracles.
+with the oracles.  The last section keeps the package's earlier second
+algorithms as references: the Newton inverse, the pointwise D U_x columns,
+the grid built by Laurent additions and the recursive difference quotient.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from ffdioph.cells import IN, OUT, UNKNOWN
 from ffdioph.dioph import frac_exp
-from ffdioph.ffield import Laurent, Poly, enumerate_shell, strict_below
+from ffdioph.ffield import DEFAULT_INV_TERMS, Ball, Laurent, Poly, enumerate_shell, strict_below
 from ffdioph.latdyn import LaurentMatrix, ReducedLattice, fq_dependence, sup_norm_vec
 
 
@@ -449,3 +451,93 @@ def cramer_solve(rows, rhs, floor_deg):
         cols[j] = list(rhs)
         sols.append(school_div_to_floor(LaurentMatrix.from_cols(cols).det(), det, floor_deg))
     return sols
+
+
+# ---------------------------------------------------------------------------
+# earlier second algorithms: Newton inverse, pointwise D U_x, additive grid,
+# recursive difference quotient
+# ---------------------------------------------------------------------------
+
+def _truncate(z, prec):
+    """z with every coefficient below prec forgotten."""
+    if z.prec is not None and z.prec >= prec:
+        return z
+    return Laurent(z.spec, z.terms, prec)
+
+
+def newton_inv(z, n_terms=None):
+    """1/z from the leading-term seed by the ultrametric Newton step
+    y <- y(2 - z y), truncated to n_terms coefficients (the operand's window
+    length, or DEFAULT_INV_TERMS for exact input, by default).  It claims
+    all n_terms digits whatever z's window, so it is a reference only at the
+    default window or for exact z."""
+    K = z.spec
+    d0, c0 = z.terms[0]
+    if len(z.terms) == 1 and z.exact:
+        return Laurent.monomial(K, K.inv(c0), -d0)
+    if n_terms is None:
+        n_terms = z.window_len if not z.exact else DEFAULT_INV_TERMS
+    out_prec = -d0 - n_terms + 1
+    y = Laurent.monomial(K, K.inv(c0), -d0)
+    two = Laurent.const(K, K.add(1, 1))
+    correct = 1
+    while correct < n_terms:
+        y = _truncate(y * (two - (z * y)), out_prec)
+        correct *= 2
+    return Laurent(K, y.terms, out_prec)
+
+
+def pointwise_dux_columns(m, x, D):
+    """D U_x on the Gamma generators from f(x) and the partials at x, each
+    entry then shifted by its diagonal exponent of D."""
+    spec = m.spec
+    d, n = m.d, m.n
+    zero, one = Laurent.zero(spec), Laurent.one(spec)
+    fx = m.eval(x)
+    cols = [[one] + [zero] * (d + n)]
+    for j in range(n):
+        cols.append([fx[j]] + [m.partials[i][j].eval(x) for i in range(d)]
+                    + [one if jj == j else zero for jj in range(n)])
+    return [tuple(z.shift(e) for z, e in zip(col, D.slot_exps)) for col in cols]
+
+
+def additive_grid_cells(grid):
+    """The cells of a GridSpec by per-coordinate digit counters (degree -r
+    slowest), each center the domain center plus one monomial per nonzero
+    digit."""
+    K = grid.spec
+    dom = grid.resolved_domain
+    r = dom.radius_exp
+    degs = range(-r, -grid.N, -1)
+    single = []
+    for ci in dom.center:
+        opts = []
+        for digits in itertools.product(K.elements(), repeat=grid.N - r):
+            z = ci
+            for k, a in zip(degs, digits):
+                if a:
+                    z = z + Laurent.monomial(K, a, k)
+            opts.append(z)
+        single.append(opts)
+    return [Ball(combo, grid.N) for combo in itertools.product(*single)]
+
+
+def difference_quotient_recursive(g, k, axis, points):
+    """The raw inductive k-th difference quotient of g along ``axis`` at
+    pairwise distinct points, the other coordinates 0, each division by
+    long division 64 digits deep."""
+    if k == 0:
+        return g.eval(_axis_point(g, axis, points[0]))
+    a = difference_quotient_recursive(g, k - 1, axis, (points[0],) + tuple(points[2:]))
+    b = difference_quotient_recursive(g, k - 1, axis, tuple(points[1:]))
+    num, den = a - b, points[0] - points[1]
+    if den.is_zero:
+        raise ZeroDivisionError("coincident points in the recursive quotient")
+    if not num.terms:
+        prec = None if num.prec is None else num.prec - den.top_deg
+        return Laurent(g.spec, (), prec)
+    return num.div_to_floor(den, num.top_deg - den.top_deg - 64)
+
+
+def _axis_point(g, axis, x):
+    return [x if j == axis else Laurent.zero(g.spec) for j in range(g.d)]

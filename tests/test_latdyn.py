@@ -83,7 +83,7 @@ def test_reduce_diag():
     ])
     red = reduce_lattice(M.cols())
     assert red.minima_exps == [-1, 1]
-    col, _, e = red.shortest()
+    col, _, e = red.by_norm()[0]
     assert e == -1 and col[0].is_zero
 
 

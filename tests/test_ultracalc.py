@@ -4,6 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import difference_quotient_recursive
+
 from ffdioph.ffield import AbsValue, Ball, FieldSpec, GridSpec, Laurent
 from ffdioph.ultracalc import (
     AnalyticMap,
@@ -12,7 +14,6 @@ from ffdioph.ultracalc import (
     check_conditions,
     components_independent,
     difference_quotient,
-    difference_quotient_recursive,
     multi_difference,
     skew_gradient,
     veronese,

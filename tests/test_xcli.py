@@ -1,6 +1,7 @@
 """Experiment drivers: parsing, determinism, verdicts and exit codes."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,21 @@ def test_parse_mpoly_rejects_bad_var():
         parse_mpoly("x3", F3, 2)
 
 
+@pytest.mark.parametrize("text, term", [
+    ("x1**2", "x1**2"), ("x1*", "x1*"), ("*x1", "*x1"), ("2*x1 + x1**2", "x1**2"),
+])
+def test_parse_mpoly_rejects_empty_factors(text, term):
+    # a Python-style power must not read as the factor 2, nor a stray * vanish
+    with pytest.raises(ValueError, match=re.escape(f"empty factor in term {term!r}")):
+        parse_mpoly(text, F3, 1)
+
+
+@pytest.mark.parametrize("text", ["x1+", "x1 + + x2", ""])
+def test_parse_mpoly_rejects_empty_terms(text):
+    with pytest.raises(ValueError, match="empty term"):
+        parse_mpoly(text, F3, 2)
+
+
 def test_parse_psi():
     p = parse_psi("q^(-3*t)")
     assert p.tau == 3 and p.coeff_exp == 0
@@ -76,6 +92,13 @@ def test_load_map_file(veronese_map):
     assert m.components[0] == MPoly.var(F3, 1, 0)
     assert m.theta is None
     assert m.resolved_domain == Ball.unit(F3, 1, 1)
+
+
+def test_load_map_file_rejects_python_power(tmp_path):
+    p = tmp_path / "pow.map"
+    p.write_text(MAP_TEXT.replace("f2: x1^2", "f2: x1**2"))
+    with pytest.raises(ValueError, match=re.escape("'x1**2'")):
+        load_map_file(p)
 
 
 def test_parse_point():
@@ -187,6 +210,15 @@ def test_cli_measure_sublevel(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["measure"] == "1/9" and out["certified"]
+
+
+def test_cli_measure_sublevel_rejects_python_power(capsys):
+    rc = main([
+        "measure", "sublevel", "--field", "3", "--poly", "x1**2",
+        "--eps", "-2", "--grid", "6",
+    ])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_measure_good(capsys):
