@@ -1,7 +1,9 @@
-"""The cell engine: labelled cell sweeps (``measure_union``) and the packed
+"""The cell engine: labelled cell sweeps (``measure_union``), the packed
 evaluation of a sweep's polynomials at cell centers (``SweepData``,
-``MapCellData``) that every cell condition reads.  The one module that
-reads the digit layout: the others ask for packed sums and their digits.
+``MapCellData``) that every cell condition reads, and the decision of a
+witness label's members at once, as lanes of one integer (``decide``).
+The one module that reads the digit layout: the others ask for packed
+sums and their digits.
 """
 
 from __future__ import annotations
@@ -656,3 +658,191 @@ def _decide(data: MapCellData, live: Sequence) -> tuple:
         rest.append(atom)
     return None, tuple(rest)
 
+
+# a label of at least this many live members, none with a gradient
+# condition, is decided in lanes; a smaller one by the member loop
+LANES_MIN = 9
+
+
+def decide(data: MapCellData, live) -> tuple:
+    """(the first member IN on the cell or None, the members UNKNOWN there)
+    of the live ``dioph.WitnessAtom`` members of a label: in lanes when
+    ``in_lanes`` puts them there, else by the member loop ``_decide``.  The
+    survivors are a ``_Live`` while lanes decide them, else a tuple."""
+    if type(live) is not _Live and len(live) >= LANES_MIN:
+        live = in_lanes(data.sd, live)
+    if type(live) is _Live:
+        return live.lanes.decide(data, live.bits)
+    return _decide(data, live)
+
+
+def in_lanes(sd: SweepData, members: Sequence):
+    """The members of a label as ``decide`` reads them: all of them in
+    lanes (a ``_Live``) when there are ``LANES_MIN`` or more, all on sd,
+    none with a gradient condition or tau >= -1, and the slots are one
+    byte wide; else the members themselves.  Fixes sd's row-0 window."""
+    if len(members) < LANES_MIN or not all(
+            a.sd is sd and a.tau < -1 and a.lower_deg is None and a.grad_upper_tau is None
+            for a in members):
+        return members
+    sd.fix(0)
+    if sd.slots[0] != 8:
+        return members
+    lanes = _Lanes.build(sd, tuple(members))
+    return _Live(lanes, lanes.top)
+
+
+class _Live:
+    """Survivors in lanes: the lanes and the guard bits of the live ones;
+    iterating gives the members in order."""
+
+    __slots__ = ("lanes", "bits")
+
+    def __init__(self, lanes: "_Lanes", bits: int):
+        self.lanes, self.bits = lanes, bits
+
+    def __iter__(self):
+        return (self.lanes.atoms[k] for k in self.lanes.indices(self.bits))
+
+
+class _Lanes:
+    """The members of a label as lanes of one packed integer.
+
+    Lane k, W = (jmax - base) s b + 8 bits from bit k W, holds member k's
+    packed sum from degree base to jmax - 1: a label keeps one multiplier
+    per (coordinate i, basis power e), the members' alpha_{j,e} X^j in
+    their lanes, so the sum over (i, e) of column e of g_i, cut to the
+    degrees < 0, times its multiplier is every member's sum at once (no
+    slot carries, as in ``SweepData``), and one ``bytes.translate`` takes
+    every slot mod p.  The top byte of a lane is a zero guard: with the
+    lanes cut to their windows [max(tau, var) + 1, -1], adding 2^(W-8) - 1
+    to each sets the guard bit exactly of the lanes with a nonzero digit
+    there.  A member's var and horizon depend on its degree class (its
+    (i, deg a_i) list and tau) and on the variations and horizons of the
+    columns, so the windows and outcomes are built once per class and per
+    such signature (``_masks``).
+
+    The lowest lane IN, or raising PrecisionError as the loop would, gives
+    the answer; the survivors are their guard bits, compacted by bytes
+    slicing to new lanes once fewer than a quarter of the lanes live."""
+
+    __slots__ = ("sd", "atoms", "W", "mults", "classes", "lane_class", "nbytes", "inds",
+                 "low", "top", "cut", "table", "masks")
+
+    def __init__(self, sd: SweepData, atoms: tuple, W: int, mults: list, classes: list,
+                 lane_class: list):
+        self.sd, self.atoms, self.W, self.mults = sd, atoms, W, mults
+        self.classes, self.lane_class = classes, lane_class
+        wb = W >> 3
+        self.nbytes = len(atoms) * wb
+        inds: dict = {}  # class -> a 1 at the lowest bit of each of its lanes
+        for k, c in enumerate(lane_class):
+            inds.setdefault(c, bytearray(self.nbytes))[k * wb] = 1
+        self.inds = {c: int.from_bytes(ind, "little") for c, ind in inds.items()}
+        ones = int.from_bytes((b"\1" + bytes(wb - 1)) * len(atoms), "little")
+        self.low = ones * ((1 << W - 8) - 1)
+        self.top = ones << W - 8
+        self.cut = (1 << -sd.bases[0] * sd.slots[1]) - 1
+        self.table = sd.slots[2].table  # each byte mod p
+        self.masks: dict = {}
+
+    @classmethod
+    def build(cls, sd: SweepData, atoms: tuple) -> "_Lanes":
+        W = (sd.jmax - sd.bases[0]) * sd.slots[1] + 8
+        wb = W >> 3
+        per: dict = {}      # (i, e) -> the members' multipliers
+        classes: dict = {}  # degree class -> its index
+        lane_class = []
+        for k, atom in enumerate(atoms):
+            key = []
+            for pid in atom.parts:
+                i, deg, mults = sd.parts[pid]
+                key.append((i, deg))
+                for e, m in mults:
+                    per.setdefault((i, e), [0] * len(atoms))[k] = m
+            lane_class.append(classes.setdefault((tuple(key), atom.tau), len(classes)))
+        mults = [(i, e, int.from_bytes(b"".join(m.to_bytes(wb, "little") for m in ms), "little"))
+                 for (i, e), ms in per.items()]
+        return cls(sd, atoms, W, mults, list(classes), lane_class)
+
+    def decide(self, data: MapCellData, bits: int) -> tuple:
+        """``decide`` for the live lanes ``bits`` (their guard bits)."""
+        cols = data.cols[0] or data._columns(0)
+        sig = tuple((var, prec) for _, var, prec in cols)
+        window, zin, zunk, zraise, araise, aunk = self.masks.get(sig) or self._masks(sig)
+        cut, v = self.cut, 0
+        for i, e, m in self.mults:
+            c = cols[i][0][e] & cut
+            if c:
+                v += c * m
+        v = int.from_bytes(v.to_bytes(self.nbytes, "little").translate(self.table), "little")
+        zero = ~(((v & window) + self.low) & self.top)
+        ins = zin & zero & bits
+        raises = (zraise & zero | araise) & bits
+        first = ins | raises
+        if first:
+            first &= -first
+            if first & raises:
+                raise PrecisionError("window does not reach degree -1" if first & araise
+                                     else "digits indistinguishable from 0")
+            return self.atoms[(first.bit_length() - 1) // self.W], ()
+        rest = (zunk & zero | aunk) & bits
+        k = rest.bit_count()
+        if k >= LANES_MIN and 4 * k >= len(self.atoms):
+            return None, _Live(self, rest)
+        lanes = self.indices(rest)
+        if k < LANES_MIN:
+            return None, tuple(self.atoms[j] for j in lanes)
+        kept = self._compact(lanes)
+        return None, _Live(kept, kept.top)
+
+    def indices(self, bits: int) -> list:
+        """The lanes whose guard bit is set in ``bits``, in order."""
+        wb = self.W >> 3
+        flags = bits.to_bytes(self.nbytes, "little")[wb - 1::wb]
+        out, k = [], flags.find(1)
+        while k >= 0:
+            out.append(k)
+            k = flags.find(1, k + 1)
+        return out
+
+    def _compact(self, lanes: list) -> "_Lanes":
+        """New lanes of the given lanes' members, in order."""
+        wb = self.W >> 3
+
+        def keep(v: int) -> int:
+            bs = v.to_bytes(self.nbytes, "little")
+            return int.from_bytes(b"".join(bs[k * wb:k * wb + wb] for k in lanes), "little")
+
+        return _Lanes(self.sd, tuple(self.atoms[k] for k in lanes), self.W,
+                      [(i, e, keep(m)) for i, e, m in self.mults], self.classes,
+                      [self.lane_class[k] for k in lanes])
+
+    def _masks(self, sig: tuple) -> tuple:
+        """(window, then the guard bits of the lanes IN, UNKNOWN and raising
+        when their window is 0, raising and UNKNOWN whatever it holds) for
+        columns of the variations and horizons sig, as in ``_decide``."""
+        base, sb = self.sd.bases[0], self.sd.slots[1]
+        window = zin = zunk = zraise = araise = aunk = 0
+        for c, ind in self.inds.items():
+            key, tau = self.classes[c]
+            var = max(sig[i][0] + deg for i, deg in key)
+            prec = max(sig[i][1] + deg for i, deg in key)
+            if var > -1:
+                aunk |= ind
+            elif prec > -1:
+                araise |= ind
+            else:
+                deg = (tau if tau >= var else var) + 1
+                start = deg if deg >= prec else prec
+                if start < 0:
+                    window |= ind * (((1 << -start * sb) - 1) << (start - base) * sb)
+                if start > deg:
+                    zraise |= ind
+                elif var > tau:
+                    zunk |= ind
+                else:
+                    zin |= ind
+        g = self.W - 8
+        got = self.masks[sig] = (window, zin << g, zunk << g, zraise << g, araise << g, aunk << g)
+        return got

@@ -36,7 +36,8 @@ from .cells import (
     MapCellData,
     MeasureResult,
     SweepData,
-    _decide,
+    decide,
+    in_lanes,
     measure_union,
 )
 from .errors import PrecisionError
@@ -167,15 +168,11 @@ def find_witness(
 ) -> Optional[Witness]:
     """First witness in shell order with |f(x).a + a0 + theta| < Psi(a).
 
-    A point is a cell with zero variation: the shell's witness atoms decide
-    each a on the packed digit columns of f(x) and theta(x), and only the
-    witness is formed as a Laurent value and split into parts."""
-    bound = psi.exp_at_shell(t)
-    if bound is None:
-        return None
-    atoms = _shell_atoms(m, t, strict_below(bound))
-    data = MapCellData.at_point(atoms[0].sd, x)
-    hit = _decide(data, atoms)[0]
+    A point is a cell with zero variation: the shell's witness atoms, one
+    label, decide every a at once on the packed digit columns of f(x) and
+    theta(x) (``cells.decide``), and only the witness is formed as a
+    Laurent value and split into parts."""
+    hit, data = _shell_hit(m, x, psi, t)
     if hit is None:
         return None
     vals = data.vals[0]
@@ -183,14 +180,26 @@ def find_witness(
     return Witness(a=hit.a, a0=-head, value=tail, shell=t)
 
 
+def _shell_hit(m: AnalyticMap, x: Sequence[Laurent], psi: ApproxFn, t: int) -> tuple:
+    """(the first witness atom of shell t at x or None, the point's data)."""
+    bound = psi.exp_at_shell(t)
+    if bound is None:
+        return None, None
+    sd, live = _shell_label(m, t, strict_below(bound))
+    data = MapCellData.at_point(sd, x)
+    return decide(data, live)[0], data
+
+
 @functools.lru_cache(maxsize=32)
-def _shell_atoms(m: AnalyticMap, t: int, tau: int) -> tuple["WitnessAtom", ...]:
-    """The witness atoms of shell t at threshold q^tau in enumerate_shell
-    order, one a per F_q^*-orbit without theta (``orbit_firsts``), on one
-    SweepData of the map; built once per (map, t, tau), so every point scan
-    reads the same digit window."""
+def _shell_label(m: AnalyticMap, t: int, tau: int) -> tuple:
+    """(SweepData, live members) of the witness atoms of shell t at
+    threshold q^tau in enumerate_shell order, one a per F_q^*-orbit without
+    theta (``orbit_firsts``), on one SweepData of the map, the members in
+    lanes when ``cells.in_lanes`` puts them there; built once per (map, t,
+    tau), so every point scan reads the same digit window."""
     sd = SweepData(m)
-    return tuple(WitnessAtom(sd, a, tau) for a in orbit_firsts(m, enumerate_shell(m.spec, m.n, t)))
+    atoms = [WitnessAtom(sd, a, tau) for a in orbit_firsts(m, enumerate_shell(m.spec, m.n, t))]
+    return sd, in_lanes(sd, tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +268,9 @@ class WitnessAtom:
     ceil(grad_lower)), or above max(grad_upper_tau, var).
 
     A witness atom decides a whole label of witness atoms on its SweepData
-    (``decides_labels``): ``status`` reads the live members in one loop,
-    and a member alone is the call with live = (member,).
+    (``decides_labels``): ``status`` reads the live members as lanes of one
+    packed integer, or a few of them in one loop (``cells.decide``), and a
+    member alone is the call with live = (member,).
     """
 
     decides_labels = True
@@ -284,8 +294,9 @@ class WitnessAtom:
 
     def status(self, cell: Ball, ctx: dict, live: Sequence["WitnessAtom"]) -> tuple:
         """(is_in, survivors) of the live members of a label on the cell
-        (``_decide``): IN at the first member IN, else the UNKNOWN ones."""
-        hit, rest = _decide(MapCellData.of(self.sd, cell, ctx), live)
+        (``cells.decide``): IN at the first member IN, else the UNKNOWN
+        ones."""
+        hit, rest = decide(MapCellData.of(self.sd, cell, ctx), live)
         return hit is not None, rest
 
     def _grad_status(self, data: MapCellData) -> int:
@@ -510,7 +521,7 @@ def measure_phi_f(
 
 def in_phi_f_point(m: AnalyticMap, x: Sequence[Laurent], t: int, delta_exp: int) -> bool:
     """Pointwise membership in Phi^f(t, delta)."""
-    return find_witness(m.homogeneous, x, ApproxFn.power_law(m.n, delta_exp), t) is not None
+    return _shell_hit(m.homogeneous, x, ApproxFn.power_law(m.n, delta_exp), t)[0] is not None
 
 
 # ---------------------------------------------------------------------------

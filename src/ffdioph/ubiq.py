@@ -218,24 +218,33 @@ def _gate_cell(partials: Sequence[MPoly], cell: Ball) -> int:
 @dataclass
 class ResonantDistance:
     dist: AbsValue
-    root_point: Optional[tuple[Laurent, ...]]
 
 
 def dist_to_resonant(x: Sequence[Laurent], g: ResonantFn) -> ResonantDistance:
     """||x - x_eta|| for the axis root x_eta = (x_1 + eta, x_2..x_d) of g+theta.
 
-    Ultrametrically this equals |h(0)|/|h'(0)| for h(eta) = (g+theta)(x+eta e_1)
-    whenever the Hensel condition holds; the root itself comes from Newton,
-    to |h(root)| <= q^-40.
+    With h(eta) = (g+theta)(x + eta e_1) = sum_k h_k eta^k, the root nearest
+    0 has |eta| = r = |h_0|/|h_1| when |h_0| < |h_1|^2 (the Hensel condition
+    ``newton_root_1d`` checks) and every |h_k| r^k, k >= 2, is below |h_0|
+    (the linear term then decides h on |eta| <= r); eta = 0 when h_0 is 0
+    or indistinguishable from 0.  ValueError when a condition fails.
     """
     rec = g.with_theta.recenter(x)
-    deg1 = max((mm[0] for mm in rec.terms), default=0)
-    zero, axis = Laurent.zero(g.m.spec), (0,) * (g.m.d - 1)
-    coeffs = [rec.terms.get((k,) + axis, zero) for k in range(deg1 + 1)]
-    if coeffs[0].is_zero:
-        return ResonantDistance(AbsValue.zero(), tuple(x))
-    eta = newton_root_1d(coeffs, prec=40)
-    return ResonantDistance(eta.abs_value(), (x[0] + eta,) + tuple(x[1:]))
+    axis = (0,) * (g.m.d - 1)
+    h = {mono[0]: c for mono, c in rec.terms.items() if mono[1:] == axis}
+    zero = Laurent.zero(g.m.spec)
+    h0, h1 = h.get(0, zero), h.get(1, zero)
+    if h0.is_zero:
+        return ResonantDistance(AbsValue.zero())
+    if not h1.terms or (h0.terms and h0.top_deg >= 2 * h1.top_deg):
+        raise ValueError("Hensel condition |h(seed)| < |h'(seed)|^2 fails")
+    if not h0.terms:
+        return ResonantDistance(AbsValue.zero())
+    r = h0.top_deg - h1.top_deg
+    if any(not hk.is_zero and (hk.terms[0][0] if hk.terms else hk.prec - 1) + k * r >= h0.top_deg
+           for k, hk in h.items() if k >= 2):
+        raise ValueError("a term of order >= 2 reaches |h(0)| within |h(0)|/|h'(0)|")
+    return ResonantDistance(AbsValue(r))
 
 
 class ResonantDistAtom:
@@ -383,9 +392,7 @@ def build_resonant_fn(
     spec = m.spec
     n = m.n
     t_prime = params.t_prime
-    cols = minkowski_columns(m, x, t)
-    fx = [col[0].shift(-(n * t + 1)) for col in cols[1:]]  # f(x), read back from row 0
-    red = reduce_lattice(cols)
+    red = reduce_lattice(minkowski_columns(m, x, t))
     minima = red.minima_exps
     # Finite-height reality: x outside Phi^f does not force lambda_1 > delta
     # at degenerate centers.  The construction proceeds regardless and the
@@ -393,7 +400,8 @@ def build_resonant_fn(
     short_gap_ok = minima[0] > delta_exp
     basis = red.by_norm()  # the g_j: the reduced basis sorted by norm
     gs = [coefs for _, coefs, _ in basis]  # each: (a_{j,0}, a_{j,1}..a_{j,n})
-    gx = [lin_comb(cf[0].to_laurent(), cf[1:], fx) for cf in gs]  # the g_j(x)
+    # the g_j(x): row 0 of a reduced column is g_j(x) X^(nt+1)
+    gx = [col[0].shift(-(n * t + 1)) for col, _, _ in basis]
 
     # audit of the short-vector bounds (the g_j estimates); they are
     # theorems only when the short-vector gap holds

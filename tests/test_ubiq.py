@@ -132,7 +132,55 @@ def test_dist_to_resonant_linear_case():
     x = [Laurent.monomial(F3, 2, -1)]
     res = dist_to_resonant(x, g)
     assert res.dist == (x[0] - c).abs_value()
-    assert (res.root_point[0] - c).is_zero
+
+
+def _axis_coeffs(x, g):
+    """The coefficients of h(eta) = (g+theta)(x + eta e_1), ascending."""
+    rec = g.with_theta.recenter(x)
+    axis = (0,) * (g.m.d - 1)
+    top = max((mono[0] for mono in rec.terms), default=0)
+    return [rec.terms.get((k,) + axis, Laurent.zero(g.m.spec)) for k in range(top + 1)]
+
+
+def test_dist_to_resonant_matches_newton():
+    # |h(0)|/|h'(0)| against the Newton root from 0 (to q^-60, below every
+    # |h(0)| here): the same distance, and the same ValueError where
+    # Newton's Hensel condition fails; ValueError too where a term of order
+    # >= 2 reaches |h(0)| at that radius, where Newton's contract does not
+    # hold (it may not converge); maps in one and two variables, with theta
+    rng = random.Random(92)
+    x1, x2 = MPoly.var(F3, 2, 0), MPoly.var(F3, 2, 1)
+    theta = MPoly.const(F3, 1, Laurent(F3, [(-1, 1), (-4, 2)]))
+    maps = [VER, veronese(F3, 2, theta=theta), veronese(F2, 3),
+            AnalyticMap(F3, 2, 2, (x1 * x1 + x2, x1 * x2))]
+    tally = Counter()
+    for _ in range(300):
+        m = rng.choice(maps)
+        a = tuple(Poly(m.spec, [rng.randrange(m.spec.q) for _ in range(3)]) for _ in range(m.n))
+        a0 = Poly(m.spec, [rng.randrange(m.spec.q) for _ in range(2)])
+        if a0.is_zero and all(ai.is_zero for ai in a):
+            continue
+        g = ResonantFn(m=m, a0=a0, a=a)
+        x = [Laurent(m.spec, [(-k, rng.randrange(m.spec.q)) for k in range(1, 6)])
+             for _ in range(m.d)]
+        coeffs = _axis_coeffs(x, g)
+        if coeffs[0].is_zero:
+            assert dist_to_resonant(x, g).dist.is_zero
+            tally["on the set"] += 1
+        elif len(coeffs) < 2 or coeffs[1].is_zero or coeffs[0].top_deg >= 2 * coeffs[1].top_deg:
+            with pytest.raises(ValueError, match="Hensel"):
+                dist_to_resonant(x, g)
+            tally["Hensel fails"] += 1
+        elif any(hk.terms and hk.top_deg + k * (coeffs[0].top_deg - coeffs[1].top_deg)
+                 >= coeffs[0].top_deg for k, hk in enumerate(coeffs[2:], start=2)):
+            with pytest.raises(ValueError, match="order >= 2"):
+                dist_to_resonant(x, g)
+            tally["order 2 reaches"] += 1
+        else:
+            want = newton_root_1d(coeffs, prec=60).abs_value()
+            assert dist_to_resonant(x, g).dist == want, (g, x)
+            tally["root"] += 1
+    assert len(tally) == 4 and tally["root"] >= 100, tally
 
 
 def test_dist_atom_sweep_brackets_the_exact_measure_with_quadratic_theta():
