@@ -619,7 +619,12 @@ def _decide(data: MapCellData, live: Sequence) -> tuple:
     member is OUT when a digit of its packed sum from max(tau, var) + 1 to
     -1 is nonzero mod p (with one-byte slots, a byte left once the
     multiples of p are deleted) or a gradient condition fails;
-    PrecisionError as in ``top_digit``."""
+    PrecisionError as in ``top_digit``.  A condition IN on a cell is IN on
+    every subcell, with no PrecisionError (``dioph.WitnessAtom``): a member
+    UNKNOWN with its value condition IN, or with its gradient conditions
+    IN, survives as its ``narrowed`` form without them, so the subcells
+    never read them again, and a label whose survivors are all values only
+    goes to the lanes."""
     rest, packed, sd = [], data.packed[0], data.sd
     for atom in live:
         s = IN
@@ -651,9 +656,13 @@ def _decide(data: MapCellData, live: Sequence) -> tuple:
             g = atom._grad_status(data)
             if g == OUT:
                 continue
-            if g == UNKNOWN:
-                s = UNKNOWN
-        if s == IN:
+            if g == IN:
+                if s == IN:
+                    return atom, ()
+                atom = atom.narrowed(False)
+            elif s == IN and tau < -1:
+                atom = atom.narrowed(True)
+        elif s == IN:
             return atom, ()
         rest.append(atom)
     return None, tuple(rest)

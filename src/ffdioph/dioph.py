@@ -271,11 +271,26 @@ class WitnessAtom:
     (``decides_labels``): ``status`` reads the live members as lanes of one
     packed integer, or a few of them in one loop (``cells.decide``), and a
     member alone is the call with live = (member,).
+
+    A condition IN on a cell is IN on every subcell, and reading it there
+    raises no PrecisionError: the subcell's variation var' is at most the
+    cell's var; the digits above var are the same at every point of the
+    cell; and a horizon can grow at the subcell's center only through a
+    coordinate 0 at the cell's center, to at most var (that monomial's
+    variation on the cell bounds it).  The value condition is IN with var
+    <= tau and its window [tau + 1, -1] zero above a horizon <= tau + 1;
+    ||grad|| >= q^L is IN on a nonzero digit of some d_j at a degree above
+    var and its horizon; ||grad|| <= q^tau is IN with var <= tau and no
+    nonzero digit from tau + 1 up, above a horizon <= tau + 1.  Each reads
+    only degrees above var, so the subcell reads the same digits, above its
+    horizon.  A member UNKNOWN on a cell with its value condition or its
+    gradient conditions IN passes to the subcells as its ``narrowed`` form.
     """
 
     decides_labels = True
 
-    __slots__ = ("sd", "a", "tau", "grad_lower", "grad_upper_tau", "lower_deg", "parts")
+    __slots__ = ("sd", "a", "tau", "grad_lower", "grad_upper_tau", "lower_deg", "parts",
+                 "forms")
 
     def __init__(self, sd: SweepData, a, tau: int, grad_lower=None, grad_upper_tau=None):
         self.sd = sd
@@ -291,6 +306,25 @@ class WitnessAtom:
             reads.append(self.lower_deg)
         if reads:  # the same part ids as the value registration's
             self.parts = sd.register(self.a, 1, min(reads))
+        self.forms = None
+
+    def narrowed(self, value_in: bool) -> "WitnessAtom":
+        """This member without its value condition (value_in) or without
+        its gradient conditions: the same a, parts and other conditions,
+        made once per member and side.  It holds no reference back to this
+        member (that would be a cycle only the cyclic collector frees)."""
+        forms = self.forms
+        if forms is None:
+            forms = self.forms = [None, None]
+        got = forms[value_in]
+        if got is None:
+            got = forms[value_in] = object.__new__(WitnessAtom)
+            got.sd, got.a, got.parts, got.forms = self.sd, self.a, self.parts, None
+            got.tau = -1 if value_in else self.tau  # tau >= -1: no value condition
+            got.grad_lower, got.grad_upper_tau, got.lower_deg = (
+                (self.grad_lower, self.grad_upper_tau, self.lower_deg) if value_in
+                else (None, None, None))
+        return got
 
     def status(self, cell: Ball, ctx: dict, live: Sequence["WitnessAtom"]) -> tuple:
         """(is_in, survivors) of the live members of a label on the cell

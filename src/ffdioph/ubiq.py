@@ -47,6 +47,25 @@ def _upoly_eval(coeffs: Sequence[Laurent], x: Laurent) -> Laurent:
     return acc
 
 
+def _linear_radius(h: Sequence[Laurent]) -> Optional[int]:
+    """The exponent r of |h_0|/|h_1| for the coefficients h (ascending, at
+    the seed) of a polynomial with h_0 != 0, None when h_0 has no known
+    digit.  ValueError unless |h_0| < |h_1|^2 and every |h_k| q^(kr), k >= 2,
+    is below |h_0|: then the linear term decides h on |eta| <= q^r, and the
+    root nearest the seed lies at distance q^r (Hensel's condition alone
+    suffices only when every |h_k| <= 1)."""
+    h0, h1 = h[0], (h[1] if len(h) > 1 else Laurent.zero(h[0].spec))
+    if not h1.terms or (h0.terms and h0.top_deg >= 2 * h1.top_deg):
+        raise ValueError("Hensel condition |h(seed)| < |h'(seed)|^2 fails")
+    if not h0.terms:
+        return None
+    r = h0.top_deg - h1.top_deg
+    if any(not hk.is_zero and (hk.terms[0][0] if hk.terms else hk.prec - 1) + k * r >= h0.top_deg
+           for k, hk in enumerate(h) if k >= 2):
+        raise ValueError("a term of order >= 2 reaches |h(seed)| within |h(seed)|/|h'(seed)|")
+    return r
+
+
 def newton_root_1d(
     h: Sequence[Laurent],
     prec: int,
@@ -55,22 +74,25 @@ def newton_root_1d(
     """A root of the univariate polynomial h (coefficients ascending) with
     |h(root)| <= q^(-prec), by Newton iteration from the seed.
 
-    Requires the Hensel condition |h(s)| < |h'(s)|^2 at the seed; the
-    returned root satisfies |root - s| = |h(s)|/|h'(s)| (or root = s when
-    h(s) = 0), the standard ultrametric Newton contract.  Raises
-    PrecisionError after 64 iterations.
+    Requires, for h(seed + eta) = sum_k h_k eta^k, the Hensel condition
+    |h_0| < |h_1|^2 and |h_k| r^k < |h_0| for k >= 2, r = |h_0|/|h_1|
+    (``_linear_radius``), else ValueError; the returned root satisfies
+    |root - s| = r (or root = s when h(s) = 0), the standard ultrametric
+    Newton contract.  Raises PrecisionError after 64 iterations.
     """
     spec = h[0].spec
     if seed is None:
         seed = Laurent.zero(spec)
     deriv = [c.scale(k % spec.p) for k, c in enumerate(h) if k >= 1]
     x = seed
-    h0 = _upoly_eval(h, x)
-    if h0.is_zero:
+    at = list(h)  # the coefficients at the seed (Taylor shift)
+    if not seed.is_zero:
+        for k in range(len(at) - 1):
+            for i in range(len(at) - 2, k - 1, -1):
+                at[i] = at[i] + seed * at[i + 1]
+    if at[0].is_zero:
         return x
-    d0 = _upoly_eval(deriv, x)
-    if d0.terms == () or (h0.terms and d0.terms and h0.top_deg >= 2 * d0.top_deg):
-        raise ValueError("Hensel condition |h(seed)| < |h'(seed)|^2 fails")
+    _linear_radius(at)
     for _ in range(64):
         hv = _upoly_eval(h, x)
         if not hv.terms:
@@ -233,18 +255,10 @@ def dist_to_resonant(x: Sequence[Laurent], g: ResonantFn) -> ResonantDistance:
     axis = (0,) * (g.m.d - 1)
     h = {mono[0]: c for mono, c in rec.terms.items() if mono[1:] == axis}
     zero = Laurent.zero(g.m.spec)
-    h0, h1 = h.get(0, zero), h.get(1, zero)
-    if h0.is_zero:
+    if h.get(0, zero).is_zero:
         return ResonantDistance(AbsValue.zero())
-    if not h1.terms or (h0.terms and h0.top_deg >= 2 * h1.top_deg):
-        raise ValueError("Hensel condition |h(seed)| < |h'(seed)|^2 fails")
-    if not h0.terms:
-        return ResonantDistance(AbsValue.zero())
-    r = h0.top_deg - h1.top_deg
-    if any(not hk.is_zero and (hk.terms[0][0] if hk.terms else hk.prec - 1) + k * r >= h0.top_deg
-           for k, hk in h.items() if k >= 2):
-        raise ValueError("a term of order >= 2 reaches |h(0)| within |h(0)|/|h'(0)|")
-    return ResonantDistance(AbsValue(r))
+    # AbsValue(None) is 0: h_0 indistinguishable from 0
+    return ResonantDistance(AbsValue(_linear_radius([h.get(k, zero) for k in range(max(h) + 1)])))
 
 
 class ResonantDistAtom:

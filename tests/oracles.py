@@ -12,7 +12,8 @@ on them.  The last two helpers are no oracles: they read one witness
 atom's answer from the package's label call, for the tests to compare
 with the oracles.  The last section keeps the package's earlier second
 algorithms as references: the Newton inverse, the pointwise D U_x columns,
-the grid built by Laurent additions and the recursive difference quotient.
+the grid built by Laurent additions, the recursive difference quotient and
+the member loop that reads every condition of every member on every cell.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 from ffdioph.cells import IN, OUT, UNKNOWN
 from ffdioph.dioph import frac_exp
+from ffdioph.errors import PrecisionError
 from ffdioph.ffield import DEFAULT_INV_TERMS, Ball, Laurent, Poly, enumerate_shell, strict_below
 from ffdioph.latdyn import LaurentMatrix, ReducedLattice, fq_dependence, sup_norm_vec
 
@@ -455,7 +457,7 @@ def cramer_solve(rows, rhs, floor_deg):
 
 # ---------------------------------------------------------------------------
 # earlier second algorithms: Newton inverse, pointwise D U_x, additive grid,
-# recursive difference quotient
+# recursive difference quotient, the re-reading member loop
 # ---------------------------------------------------------------------------
 
 def _truncate(z, prec):
@@ -541,3 +543,47 @@ def difference_quotient_recursive(g, k, axis, points):
 
 def _axis_point(g, axis, x):
     return [x if j == axis else Laurent.zero(g.spec) for j in range(g.d)]
+
+
+def rereading_decide(data, live):
+    """(the first member IN on the cell or None, the members UNKNOWN there)
+    of witness members read in order, every condition of every member read
+    on every cell, a survivor passed on as itself: the member loop
+    ``cells._decide`` before decided conditions were dropped."""
+    rest, packed, sd = [], data.packed[0], data.sd
+    for atom in live:
+        s = IN
+        tau = atom.tau
+        if tau < -1:  # else |{z}| <= 1/q <= q^tau always
+            val, var, prec = 0, float("-inf"), float("-inf")
+            for pid in atom.parts:
+                pv, pvar, pprec = packed.get(pid) or data._part(pid, 0)
+                val += pv
+                if pvar > var:
+                    var = pvar
+                if pprec > prec:
+                    prec = pprec
+            if var <= -1:
+                if prec > -1:
+                    raise PrecisionError("window does not reach degree -1")
+                deg = (tau if tau >= var else var) + 1
+                start = deg if deg >= prec else prec
+                _, sb, lay = sd.slots
+                w = val >> (start - sd.bases[0]) * sb & (1 << -start * sb) - 1
+                if w and (lay._mod(w, lay.sb) if lay.sb > 1 else
+                          w.to_bytes(-start * sb >> 3, "little").translate(None, lay.zeros)):
+                    continue
+                if start > deg:
+                    raise PrecisionError("digits indistinguishable from 0")
+            if var > tau:
+                s = UNKNOWN
+        if atom.lower_deg is not None or atom.grad_upper_tau is not None:
+            g = atom._grad_status(data)
+            if g == OUT:
+                continue
+            if g == UNKNOWN:
+                s = UNKNOWN
+        if s == IN:
+            return atom, ()
+        rest.append(atom)
+    return None, tuple(rest)

@@ -247,6 +247,9 @@ def test_witness_group_equals_folded_member_statuses():
             lives = [members[k:] for k in range(0, 14, 5)] + [[a] for a in members[14:]]
             for live in map(tuple, lives):
                 got = _outcome(group.status, cell, {}, live)
+                if got != "raises":  # a survivor may be a member's narrowed form
+                    got = got[0], tuple(next(a for a in live if s is a or s in (a.forms or ()))
+                                        for s in got[1])
                 assert got == _outcome(_fold, live, cell, {}), (m, cell, live)
                 seen.add(got if got == "raises" else (got[0], bool(got[1])))
     assert seen >= {(True, False), (False, True), (False, False), "raises"}, seen

@@ -61,6 +61,28 @@ def test_newton_hensel_violation():
         newton_root_1d(h, prec=10)
 
 
+def test_newton_rejects_a_dominant_higher_term():
+    # |h(0)| = q < |h'(0)|^2 = q^2, but r = |h(0)|/|h'(0)| = 1 and |h_2| r^2 =
+    # q^2 >= |h(0)|: Newton from 0 does not converge here, so the seed is
+    # rejected instead of iterating 64 times
+    def lau(*terms):
+        return Laurent(F3, list(terms))
+
+    h = [lau((1, 1), (0, 1), (-1, 1), (-4, 2), (-5, 2), (-7, 2)),
+         lau((1, 1), (0, 1), (-3, 1), (-4, 2)),
+         lau((2, 2), (1, 2), (0, 2))]
+    with pytest.raises(ValueError, match="order >= 2"):
+        newton_root_1d(h, prec=20)
+    # the same check reads the coefficients at the seed: h = eta^2 - X^-2 at
+    # the seed X^-1 + X^-3 has h(s) = 2X^-4 + X^-6, h'(s) = 2X^-1 + 2X^-3
+    # and h_2 = 1, so r = q^-3 and |h_2| r^2 = q^-6 < |h(s)|
+    h = [Laurent.monomial(F3, 2, -2), Laurent.zero(F3), Laurent.one(F3)]
+    root = newton_root_1d(h, prec=30, seed=lau((-1, 1), (-3, 1)))
+    assert (root - lau((-1, 1), (-3, 1))).abs_exp() == -3
+    resid = root * root - Laurent.monomial(F3, 1, -2)
+    assert not resid.terms or resid.top_deg <= -30
+
+
 def test_newton_randomized_contract():
     # on Hensel-valid instances: |h(root)| <= q^-prec and
     # |root - seed| <= |h(seed)| / |h'(seed)|    (criterion-10 mechanics)
