@@ -191,13 +191,14 @@ def _shell_hit(m: AnalyticMap, x: Sequence[Laurent], psi: ApproxFn, t: int) -> t
 
 
 @functools.lru_cache(maxsize=32)
-def _shell_label(m: AnalyticMap, t: int, tau: int) -> tuple:
+def _shell_label(m: AnalyticMap, t: int, tau: int, domain: Optional[Ball] = None) -> tuple:
     """(SweepData, live members) of the witness atoms of shell t at
     threshold q^tau in enumerate_shell order, one a per F_q^*-orbit without
-    theta (``orbit_firsts``), on one SweepData of the map, the members in
-    lanes when ``cells.in_lanes`` puts them there; built once per (map, t,
-    tau), so every point scan reads the same digit window."""
-    sd = SweepData(m)
+    theta (``orbit_firsts``), on one SweepData of the map over ``domain``
+    (the map's by default), the members in lanes when ``cells.in_lanes``
+    puts them there; built once per (map, t, tau, domain), so every point
+    scan reads the same digit window."""
+    sd = SweepData(m, domain)
     atoms = [WitnessAtom(sd, a, tau) for a in orbit_firsts(m, enumerate_shell(m.spec, m.n, t))]
     return sd, in_lanes(sd, tuple(atoms))
 

@@ -207,6 +207,37 @@ def reduce_lattice(columns: Sequence[Sequence[Laurent]]) -> ReducedLattice:
     raise RuntimeError("lattice reduction did not terminate (bug or bad input)")
 
 
+def replay_reduction(columns: Sequence[Sequence[Laurent]], reduced: ReducedLattice) -> ReducedLattice:
+    """reduce_lattice(columns), given the reduction ``reduced`` of a window
+    of them (the same columns with fewer digits known).
+
+    A window's reduction that returns read every norm, leading digit and
+    F_q-dependence off digits the window fixes, and those digits are the
+    same at every completion of it, so reduce_lattice makes the same steps
+    there.  They are applied here, one ``_combine`` per step, and every
+    column norm is read as reduce_lattice reads it (its PrecisionError) and
+    asserted equal to the window's.  The coeffs and steps are those of
+    ``reduced``, shared and never mutated."""
+    spec = columns[0][0].spec
+    cols = [tuple(c) for c in columns]
+    norms = list(reduced.norm_exps)
+    plan = []  # per step, last first: (column, its norm after, (j, shift, c) per part)
+    for st in reversed(reduced.steps):
+        j_star, e_star = st["column"], st["from_exp"]
+        after, norms[j_star] = norms[j_star], e_star
+        plan.append((j_star, after, [(j, e_star - norms[j], c) for j, c in st["combo"].items()]))
+    checks = list(zip(cols, norms))
+    rows = range(len(cols[0]))
+    for j_star, after, parts in reversed(plan):
+        cols[j_star] = newcol = tuple(_combine(spec, [(cols[j][i], k, c) for j, k, c in parts])
+                                      for i in rows)
+        checks.append((newcol, after))
+    if any(sup_norm_vec(c) != e for c, e in checks):
+        raise AssertionError("a replayed column norm differs from the window's")
+    return ReducedLattice(columns=cols, coeffs=reduced.coeffs, norm_exps=reduced.norm_exps,
+                          steps=reduced.steps)
+
+
 def _combine(spec: FieldSpec, parts: Sequence[tuple[Laurent, int, int]]) -> Laurent:
     """sum c X^k z over the (z, k, c), in one pass over the terms: the
     horizon is the largest z.prec + k, and digits below it are dropped."""

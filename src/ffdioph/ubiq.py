@@ -30,9 +30,9 @@ from .ffield import (
     shell_count,
     strict_below,
 )
-from .cells import IN, OUT, UNKNOWN, MapCellData, SweepData, measure_union
-from .dioph import ApproxFn, Witness, in_phi_f_point, lin_comb
-from .latdyn import reduce_lattice
+from .cells import IN, OUT, UNKNOWN, MapCellData, SweepData, decide, measure_union
+from .dioph import ApproxFn, Witness, _shell_label, in_phi_f_point, lin_comb
+from .latdyn import ReducedLattice, reduce_lattice, replay_reduction
 from .ultracalc import AnalyticMap, MPoly, VarTable, row_combo
 
 # ---------------------------------------------------------------------------
@@ -395,9 +395,13 @@ def build_resonant_fn(
     t: int,
     delta_exp: int,
     params: UbiquityParams,
+    window: Optional[ReducedLattice] = None,
 ) -> ResonantBuild:
     """The g in F_n of the construction at x: short vectors of the Minkowski
-    lattice, the linear solve, and the rounding of its solution.
+    lattice, the linear solve, and the rounding of its solution.  With the
+    returned reduction ``window`` of a window of x's Minkowski columns, the
+    reduction is its replay at x (``latdyn.replay_reduction``), which is
+    reduce_lattice's result there.
 
     Raises AssertionError when the short-vector bounds fail although
     lambda_1 > delta, and ValueError when the linear system is singular or
@@ -406,7 +410,8 @@ def build_resonant_fn(
     spec = m.spec
     n = m.n
     t_prime = params.t_prime
-    red = reduce_lattice(minkowski_columns(m, x, t))
+    cols = minkowski_columns(m, x, t)
+    red = reduce_lattice(cols) if window is None else replay_reduction(cols, window)
     minima = red.minima_exps
     # Finite-height reality: x outside Phi^f does not force lambda_1 > delta
     # at degenerate centers.  The construction proceeds regardless and the
@@ -579,21 +584,83 @@ def constructed_family(
     A g built at x stays within rho of every point of x's cell once cells
     are finer than rho, so the centers sit at resolution max(r + 3,
     1 - rho exponent) for B of radius q^-r: the pointwise inclusion of B
-    minus Phi^f in the union of the rho-neighborhoods carries over."""
+    minus Phi^f in the union of the rho-neighborhoods carries over.
+
+    What a cell settles holds at its centers (``_walk``), and they are
+    visited in cell order, so the family, the count and the raises are
+    those of one point test and one reduction per center, except that a
+    center of a cell where Phi^f holds is skipped even where its own point
+    test could raise PrecisionError on a member read before the hit."""
     c_res = max(B.radius_exp + 3, 1 - params.rho_exp(t))
+    open_centers = _walk(m, t, delta_exp, B, c_res)
     family = {}
     skipped = 0
     for cell in GridSpec(m.spec, B.d, c_res, B).cells():
         x = cell.center
-        if in_phi_f_point(m, x, t, delta_exp):
+        got = open_centers.get(x)
+        if got is None:
+            continue  # inside a cell where Phi^f holds
+        undecided, window = got
+        if undecided and in_phi_f_point(m, x, t, delta_exp):
             continue
         try:
-            g = build_resonant_fn(m, x, t, delta_exp, params).g
+            g = build_resonant_fn(m, x, t, delta_exp, params, window).g
         except ValueError:
             skipped += 1
             continue
         family.setdefault((g.a0, g.a), g)
     return list(family.values()), skipped
+
+
+def _walk(m: AnalyticMap, t: int, delta_exp: int, B: Ball, c_res: int) -> dict:
+    """Per center at resolution c_res outside the cells of B where
+    Phi^f(t, delta) holds: (Phi^f undecided on its cell, a reduction of a
+    window of its Minkowski columns or None), from one walk down B's cells.
+
+    Phi^f's shell-t label (in_phi_f_point's members) is decided per cell
+    (``cells.decide``, survivors passed down): a hit holds at every point
+    of the cell, so its subtree is skipped, and no survivors means no
+    point of it is in Phi^f; a decide that raises PrecisionError leaves
+    the cell undecided.  Above c_res a cell without a reduction tries
+    reduce_lattice on the columns of its window (the center's digits,
+    known down to degree 1 - r at radius q^-r): one that returns read
+    every decision off digits fixed on the cell, so it is the reduction at
+    every completion, and the centers inside replay it.  One that raises
+    gives none, and a level stops trying once more of its windows raised
+    than returned."""
+    h = m.homogeneous
+    tau = strict_below(ApproxFn.power_law(m.n, delta_exp).exp_at_shell(t))
+    dom = h.resolved_domain
+    inside = B.radius_exp >= dom.radius_exp and dom.contains(B.center)
+    sd, label = _shell_label(h, t, tau, None if inside else B)
+    out = {}
+    tries: dict = {}  # radius exponent -> [windows reduced, windows that raised]
+    stack = [(B, label, None)]
+    while stack:
+        cell, live, window = stack.pop()
+        if live:
+            try:
+                hit, live = decide(MapCellData(sd, cell), live)
+            except PrecisionError:
+                pass
+            else:
+                if hit is not None:
+                    continue
+        r = cell.radius_exp
+        if r == c_res:
+            out[cell.center] = (bool(live), window)  # a _Live is never empty
+            continue
+        if window is None:
+            tally = tries.setdefault(r, [0, 0])
+            if tally[1] <= tally[0]:
+                x = tuple(Laurent(z.spec, z.terms, 1 - r) for z in cell.center)
+                try:
+                    window = reduce_lattice(minkowski_columns(m, x, t))
+                    tally[0] += 1
+                except (PrecisionError, ValueError):
+                    tally[1] += 1
+        stack.extend((child, live, window) for child in cell.subdivide())
+    return out
 
 
 def gate_family(family: Iterable[ResonantFn], dom: Ball) -> tuple[list[ResonantFn], int]:

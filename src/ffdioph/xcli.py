@@ -134,7 +134,10 @@ def parse_psi(s: str) -> ApproxFn:
 
 
 def load_map_file(path: Path) -> AnalyticMap:
-    """Key-value map definition: field, d, n, f1..fn, theta, domain_radius_exp."""
+    """Key-value map definition: field, modulus, d, n, f1..fn, theta,
+    domain_radius_exp.  ``modulus`` (coefficients, constant first, as in
+    FieldSpec) picks the modulus of an extension field; ValueError names
+    an unknown key."""
     kv: dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -147,6 +150,12 @@ def load_map_file(path: Path) -> AnalyticMap:
     spec = FieldSpec.from_order(int(kv["field"]))
     d = int(kv.get("d", "1"))
     n = int(kv["n"])
+    known = {"field", "modulus", "d", "n", "theta", "domain_radius_exp"}
+    unknown = sorted(set(kv) - known - {f"f{i}" for i in range(1, n + 1)})
+    if unknown:
+        raise ValueError(f"unknown map keys: {', '.join(unknown)}")
+    if "modulus" in kv:
+        spec = FieldSpec(spec.p, spec.b, [int(c) for c in kv["modulus"].split(",")])
     comps = tuple(parse_mpoly(kv[f"f{i}"], spec, d) for i in range(1, n + 1))
     theta = None
     if kv.get("theta") and kv["theta"] != "0":

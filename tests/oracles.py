@@ -12,8 +12,10 @@ on them.  The last two helpers are no oracles: they read one witness
 atom's answer from the package's label call, for the tests to compare
 with the oracles.  The last section keeps the package's earlier second
 algorithms as references: the Newton inverse, the pointwise D U_x columns,
-the grid built by Laurent additions, the recursive difference quotient and
-the member loop that reads every condition of every member on every cell.
+the grid built by Laurent additions, the recursive difference quotient,
+the member loop that reads every condition of every member on every cell,
+and the constructed family built by one point test and one reduction per
+grid center.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import itertools
 from fractions import Fraction
 
 from ffdioph.cells import IN, OUT, UNKNOWN
-from ffdioph.dioph import frac_exp
+from ffdioph.dioph import frac_exp, in_phi_f_point
 from ffdioph.errors import PrecisionError
-from ffdioph.ffield import DEFAULT_INV_TERMS, Ball, Laurent, Poly, enumerate_shell, strict_below
+from ffdioph.ffield import (DEFAULT_INV_TERMS, Ball, GridSpec, Laurent, Poly, enumerate_shell,
+                            strict_below)
 from ffdioph.latdyn import LaurentMatrix, ReducedLattice, fq_dependence, sup_norm_vec
+from ffdioph.ubiq import build_resonant_fn
 
 
 def laurent_cols_to_poly(cols):
@@ -587,3 +591,22 @@ def rereading_decide(data, live):
             return atom, ()
         rest.append(atom)
     return None, tuple(rest)
+
+
+def pointwise_constructed_family(m, t, delta_exp, B, params):
+    """``ubiq.constructed_family`` at every grid center on its own: one
+    in_phi_f_point and one build from reduce_lattice per center, in cell
+    order (the family before cells decided Phi^f and shared reductions)."""
+    c_res = max(B.radius_exp + 3, 1 - params.rho_exp(t))
+    family, skipped = {}, 0
+    for cell in GridSpec(m.spec, B.d, c_res, B).cells():
+        x = cell.center
+        if in_phi_f_point(m, x, t, delta_exp):
+            continue
+        try:
+            g = build_resonant_fn(m, x, t, delta_exp, params).g
+        except ValueError:
+            skipped += 1
+            continue
+        family.setdefault((g.a0, g.a), g)
+    return list(family.values()), skipped

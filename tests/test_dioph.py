@@ -597,6 +597,24 @@ def test_packed_grad_status_precision_parity():
     assert all(tally.values()), tally
 
 
+@pytest.mark.parametrize("q, tau, shells", [
+    (2, 1, 4), (2, 2, 3), (3, 2, 2), (4, 2, 2), (5, 2, 2), (7, 1, 2), (7, 2, 1), (8, 2, 1),
+    (9, 2, 1)])
+def test_w_line_shells_in_closed_form(q, tau, shells):
+    # f(x) = x on (1/X)O with Psi(a) = ||a||^-tau: shell t's set is the
+    # disjoint union of the balls of radius q^-((tau+1)t) about the reduced
+    # p/Q with deg Q <= t (two of them lie at least q^-2t apart), and
+    # sum over monic Q of degree k of Phi(Q) is q^2k - q^(2k-1), so its
+    # measure is (q^(2t+1) + 1)/(q + 1) q^(-(tau+1)t-1)
+    spec = FieldSpec.from_order(q)
+    line = AnalyticMap(spec, 1, 1, (MPoly.var(spec, 1, 0),))
+    rep = measure_W(line, ApproxFn.power_law(tau), 1, shells, GridSpec(spec, 1, 1))
+    for t in range(1, shells + 1):
+        want = Fraction(q ** (2 * t + 1) + 1, q + 1) / q ** ((tau + 1) * t + 1)
+        assert rep.per_shell[t].included == want, (q, tau, t)
+        assert rep.per_shell[t].undecided == 0
+
+
 # ---------------------------------------------------------------------------
 # big gradient
 # ---------------------------------------------------------------------------

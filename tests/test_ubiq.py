@@ -461,11 +461,11 @@ def test_constructed_family_counts_build_skips(monkeypatch):
     real = ubiq.build_resonant_fn
     raised = []
 
-    def flaky(m, x, t, delta_exp, params):
+    def flaky(m, x, t, delta_exp, params, *window):
         if x[0].terms and x[0].terms[-1][0] < -3:
             raised.append(x)
             raise ValueError("singular system")
-        return real(m, x, t, delta_exp, params)
+        return real(m, x, t, delta_exp, params, *window)
 
     monkeypatch.setattr(ubiq, "build_resonant_fn", flaky)
     B = Ball.unit(F3, 1, 2)

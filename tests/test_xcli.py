@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +99,42 @@ def test_load_map_file_rejects_python_power(tmp_path):
     p = tmp_path / "pow.map"
     p.write_text(MAP_TEXT.replace("f2: x1^2", "f2: x1**2"))
     with pytest.raises(ValueError, match=re.escape("'x1**2'")):
+        load_map_file(p)
+
+
+LINE_TEXT = "field: {field}\nn: 1\nf1: x1\n"
+
+
+def test_load_map_file_reads_a_modulus(tmp_path):
+    # the key picks the modulus of an extension field, constant first: the
+    # default one of F_4, and x^2 + x + 2 for F_9 where the default is x^2 + 1
+    p = tmp_path / "ext.map"
+    for field, text, want in ((4, "1,1,1", (1, 1, 1)), (9, "2, 1, 1", (2, 1, 1))):
+        p.write_text(LINE_TEXT.format(field=field) + f"modulus: {text}\n")
+        m = load_map_file(p)
+        assert m.spec.q == field and m.spec.modulus == want
+    assert FieldSpec.from_order(9).modulus == (1, 0, 1)
+
+
+@pytest.mark.parametrize("field, extra, message", [
+    (4, "modulus: 1,0,1", "reducible"),          # x^2 + 1 = (x + 1)^2 over F_2
+    (3, "modulus: 1,0,1", "prime fields take no modulus"),
+    (4, "modulus: 1,1", "degree 2"),
+    (3, "domain_radius: 2", "unknown map keys: domain_radius"),
+    (3, "f2: x1^2", "unknown map keys: f2"),     # n is 1
+])
+def test_load_map_file_rejects_bad_keys(tmp_path, field, extra, message):
+    p = tmp_path / "bad.map"
+    p.write_text(LINE_TEXT.format(field=field) + extra + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_map_file(p)
+
+
+def test_shipped_maps_load():
+    maps = Path(__file__).resolve().parent.parent / "maps"
+    assert load_map_file(maps / "line_q2.map").spec.q == 2
+    assert load_map_file(maps / "veronese2_q3.map").spec.q == 3
+    for p in maps.glob("*.map"):
         load_map_file(p)
 
 
