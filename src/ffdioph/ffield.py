@@ -796,29 +796,35 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:X(?:\^(-?\d+))?)?$")
 _META_RE = re.compile(r"^\(mod\s+(\d+)(?:,\s*prec\s+(\d+))?(,\s*exact)?\)$")
 
 
-def _split_terms(body: str) -> list[str]:
-    """Split on + and - at term boundaries, keeping exponent signs intact."""
-    out, cur = [], ""
-    for i, ch in enumerate(body):
-        if ch in "+-" and cur and not cur.rstrip().endswith("^"):
+def split_terms(s: str, seps: str = "+-") -> list[str]:
+    """The pieces of s between the separators in seps outside parentheses;
+    a '-' separates only after a nonblank piece not ending in '^', and the
+    piece it starts keeps it as its sign."""
+    out, cur, depth = [], "", 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and ch in seps and (
+                ch != "-" or (cur.strip() and not cur.rstrip().endswith("^"))):
             out.append(cur)
             cur = "-" if ch == "-" else ""
-        else:
-            cur += ch
-    if cur.strip():
-        out.append(cur)
+            continue
+        cur += ch
+    out.append(cur)
     return out
 
 
 def parse_terms(body: str, spec: FieldSpec) -> list[tuple[int, int]]:
     pairs = []
-    for raw in _split_terms(body):
+    for raw in split_terms(body):
         t = raw.strip()
         if not t or t == "0":
             continue
         neg = t.startswith("-")
         if neg:
-            t = t[1:]
+            t = t[1:].lstrip()
         m = _TERM_RE.match(t)
         if not m or (m.group(1) is None and "X" not in t):
             raise ValueError(f"bad term {raw!r}")

@@ -190,20 +190,30 @@ class UbiquityParams:
 # the gate |d1(g+theta)| > lambda ||grad(g+theta)||
 # ---------------------------------------------------------------------------
 
+GATE_CELLS = 10_000  # cells one gate certification visits before it raises
+
+
 def resonant_gate(g: ResonantFn, U0: Ball) -> bool:
     """Certify |d1(g+theta)(x)| > (1/q - 1/q^2) ||grad(g+theta)(x)|| on U0.
 
     On the discrete value group the condition is |d1| >= ||grad||/q
-    pointwise.  Certified by dominance of center values over variation
-    bounds, refining undecided cells down to radius q^-(r+24) for U0 of
-    radius q^-r.
+    pointwise.  Certified by dominance of center values, evaluated exactly,
+    over the variation bounds of one VarTable per partial over U0,
+    refining undecided cells down to radius q^-(r+24) for U0 of radius q^-r
+    and raising PrecisionError below that or past GATE_CELLS cells, which
+    a partial's multiple zero near U0 can take: the table does not see
+    binomial coefficients vanish mod p.
     """
     if U0.radius_exp < 2:
         raise ValueError("gate domain needs diam <= 1/q^2 (radius_exp >= 2)")
-    stack = [U0]
+    tables = [VarTable(p, U0) for p in g.partials]
+    stack, left = [U0], GATE_CELLS
     while stack:
+        if not left:
+            raise PrecisionError("gate certification exceeded the cell budget")
+        left -= 1
         cell = stack.pop()
-        decided = _gate_cell(g.partials, cell)
+        decided = _gate_cell(g.partials, tables, cell)
         if decided == OUT:
             return False
         if decided == IN:
@@ -214,11 +224,10 @@ def resonant_gate(g: ResonantFn, U0: Ball) -> bool:
     return True
 
 
-def _gate_cell(partials: Sequence[MPoly], cell: Ball) -> int:
+def _gate_cell(partials: Sequence[MPoly], tables: Sequence[VarTable], cell: Ball) -> int:
     vals = []
-    for p in partials:
-        vt = VarTable(p, cell)
-        v_exp = vt.center_exp
+    for p, vt in zip(partials, tables):
+        v_exp = p.eval(cell.center).abs_exp()
         var = vt.var_exp(cell.radius_exp)
         if var is not None and (v_exp is None or v_exp <= var):
             return UNKNOWN
@@ -659,7 +668,8 @@ def _walk(m: AnalyticMap, t: int, delta_exp: int, B: Ball, c_res: int) -> dict:
                     tally[0] += 1
                 except (PrecisionError, ValueError):
                     tally[1] += 1
-        stack.extend((child, live, window) for child in cell.subdivide())
+        # reversed: a level's cells are popped, and tried, in cell order
+        stack.extend(reversed([(child, live, window) for child in cell.subdivide()]))
     return out
 
 

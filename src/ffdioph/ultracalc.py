@@ -223,16 +223,14 @@ class VarTable:
     Recentering once at B's center bounds, for every weight w, the weight-w
     coefficients of g recentered at any point of B (the order-w difference
     quotients): weight_exp(w).  Weight 0 gives sup_exp, the bound on sup_B |g|
-    (None when g vanishes); center_exp is the exponent of |g(center of B)|;
-    var_exp(r) bounds the variation of g on any subcell of radius q^-r.
+    (None when g vanishes); var_exp(r) bounds the variation of g on any
+    subcell of radius q^-r, so one table serves every cell of B.
     """
 
-    __slots__ = ("center_exp", "sup_exp", "table", "_memo")
+    __slots__ = ("sup_exp", "table", "_memo")
 
     def __init__(self, g: MPoly, domain: Ball):
         rec = g.recenter(domain.center)
-        c0 = rec.terms.get((0,) * g.d)
-        self.center_exp = None if c0 is None else c0.abs_exp()
         r0 = domain.radius_exp
         bounds: dict[int, int] = {}
         for mm, c in rec.terms.items():
@@ -254,14 +252,13 @@ class VarTable:
     @classmethod
     def fold(cls, parts: Sequence[tuple["VarTable", int]], min_weight: int) -> "VarTable":
         """The table of the weight >= min_weight part of sum_k c_k g_k, from
-        (table of g_k, exponent of |c_k|) pairs; its center_exp is None."""
+        (table of g_k, exponent of |c_k|) pairs."""
         bounds: dict[int, int] = {}
         for vt, shift in parts:
             for w, b in vt.table:
                 if w >= min_weight and (w not in bounds or b + shift > bounds[w]):
                     bounds[w] = b + shift
         out = cls.__new__(cls)
-        out.center_exp = None
         out._set(bounds)
         return out
 
@@ -289,36 +286,32 @@ class VarTable:
 def sup_norm_on_ball(g: MPoly, ball: Ball) -> AbsValue:
     """Exact sup of |g| over the ball (Haar-a.e. sup = max, attained).
 
-    Starts from the ultrametric coefficient bound and refines the cells
-    whose bound is not yet attained by an evaluated center.  Terminates
-    because center values stabilize while variation bounds decay with depth;
-    refinement below radius q^-(r+60) of a ball of radius q^-r raises.
+    Evaluates the centers of the cells one level at a time until the
+    variation on a cell of the level, from one VarTable over the ball, is
+    attained by a center value.  Terminates because center values stabilize
+    while variation bounds decay with depth; refinement below radius
+    q^-(r+60) of a ball of radius q^-r raises.
     """
     if g.is_zero:
         return AbsValue.zero()
+    vt = VarTable(g, ball)
     best: Optional[int] = None  # exponent of largest |g(center)| seen
     # breadth-first: a whole level's center values feed the lower bound
     # before any refinement, so a path where g vanishes identically (e.g. a
     # diagonal in characteristic 2) cannot starve the termination criterion
     level = [ball]
-    while level:
-        pending = []
+    while True:
         for cell in level:
-            vt = VarTable(g, cell)
-            v_exp = vt.center_exp
+            v_exp = g.eval(cell.center).abs_exp()
             if v_exp is not None and (best is None or v_exp > best):
                 best = v_exp
-            if vt.sup_exp is not None:
-                pending.append((cell, vt.sup_exp))
-        nxt = []
-        for cell, bound in pending:
-            if best is not None and bound <= best:
-                continue
-            if cell.radius_exp >= ball.radius_exp + 60:
-                raise PrecisionError("sup-norm refinement exceeded the depth budget")
-            nxt.extend(cell.subdivide())
-        level = nxt
-    return AbsValue.zero() if best is None else AbsValue(best)
+        r = level[0].radius_exp
+        var = vt.var_exp(r)
+        if var is None or (best is not None and var <= best):
+            return AbsValue.zero() if best is None else AbsValue(best)
+        if r >= ball.radius_exp + 60:
+            raise PrecisionError("sup-norm refinement exceeded the depth budget")
+        level = [child for cell in level for child in cell.subdivide()]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .ffield import (
     parse_laurent,
     parse_terms,
     shell_count,
+    split_terms,
 )
 from .goodfn import certify_good, sublevel_measure
 from .latdyn import (
@@ -66,53 +67,36 @@ _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
 def parse_mpoly(s: str, spec: FieldSpec, d: int) -> MPoly:
-    """Parse 'x1^2', '(X^-1+1)*x1*x2^2', '2*x1+X^2*x2', '0'."""
-    acc = MPoly.zero(spec, d)
-    for term in _split_depth0(s, "+"):
-        acc = acc + _parse_term(term, spec, d)
-    return acc
-
-
-def _split_depth0(s: str, sep: str) -> list[str]:
-    """The pieces of s between the occurrences of sep outside parentheses."""
-    out, cur, depth = [], "", 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            out.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    out.append(cur)
-    return out
+    """Parse 'x1^2', '(X^-1+1)*x1*x2^2', '2*x1+X^2*x2', 'x1^2 - 1',
+    '-(x1 - x2)*x1', '0': signed terms, each a product of factors, a factor
+    being a variable power, a parenthesized polynomial or a Laurent term."""
+    return sum((_parse_term(t.strip(), spec, d) for t in split_terms(s)), MPoly.zero(spec, d))
 
 
 def _parse_term(term: str, spec: FieldSpec, d: int) -> MPoly:
-    coeff = Laurent.one(spec)
-    expo = [0] * d
-    for raw in _split_depth0(term, "*"):
+    neg = term.startswith("-")
+    body = term[1:] if neg else term
+    if not body.strip():
+        raise ValueError("empty term")
+    acc = MPoly.one(spec, d)
+    for raw in split_terms(body, "*"):
         f = raw.strip()
         if not f:
-            raise ValueError(f"empty factor in term {term.strip()!r}" if term.strip()
-                             else "empty term")
+            raise ValueError(f"empty factor in term {term!r}")
         m = _VAR_RE.match(f)
         if m:
             j = int(m.group(1)) - 1
             if not 0 <= j < d:
                 raise ValueError(f"variable {f} out of range for d={d}")
-            expo[j] += int(m.group(2)) if m.group(2) else 1
+            expo = tuple(int(m.group(2) or 1) if i == j else 0 for i in range(d))
+            acc = acc * MPoly.monomial(spec, d, expo, Laurent.one(spec))
         elif f.startswith("("):
             if not f.endswith(")"):
                 raise ValueError(f"unbalanced parens in {term!r}")
-            coeff = coeff * Laurent(spec, parse_terms(f[1:-1], spec), None)
+            acc = acc * parse_mpoly(f[1:-1], spec, d)
         else:
-            coeff = coeff * Laurent(spec, parse_terms(f, spec), None)
-    if coeff.is_zero:
-        return MPoly.zero(spec, d)
-    return MPoly.monomial(spec, d, tuple(expo), coeff)
+            acc = acc * MPoly.const(spec, d, Laurent(spec, parse_terms(f, spec), None))
+    return -acc if neg else acc
 
 
 _PSI_RE = re.compile(
@@ -228,6 +212,20 @@ def _fit_slope(points: list[tuple[float, float]]) -> Optional[float]:
     if denom == 0:
         return None
     return (n * sxy - sx * sy) / denom
+
+
+def _slope_positive(points: Sequence[tuple[Fraction, Fraction]]) -> bool:
+    """Whether the least-squares slope of the points (x_i, log mu_i), mu_i > 0,
+    is positive, decided exactly: with c_i = n x_i - sum x it has the sign
+    of sum c_i log mu_i, that of prod mu_i^(L c_i) - 1 for L the common
+    denominator of the c_i."""
+    sx = sum(x for x, _ in points)
+    cs = [Fraction(len(points) * x - sx) for x, _ in points]
+    den = math.lcm(*(c.denominator for c in cs))
+    prod = Fraction(1)
+    for c, (_, mu) in zip(cs, points):
+        prod *= Fraction(mu) ** int(c * den)
+    return prod > 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +371,7 @@ def run_qn(
     B = m.resolved_domain
     probe = qn_bound_probe(m, B, D, eps_exps, max_depth=grid_N + 4)
     rows = []
-    pts = []
+    pts = []  # (eps exponent, measure) where the measure is positive
     measures = []
     certified = True
     for e, res in probe:
@@ -385,8 +383,8 @@ def run_qn(
         measures.append(res.included)
         certified = certified and res.certified
         if res.included > 0:
-            pts.append((float(e), math.log(float(res.included), m.spec.q)))
-    slope = _fit_slope(pts)
+            pts.append((e, res.included))
+    slope = _fit_slope([(float(e), math.log(float(mu), m.spec.q)) for e, mu in pts])
     monotone = all(measures[i + 1] <= measures[i] for i in range(len(measures) - 1))
     return ExperimentReport(
         name="qn",
@@ -400,7 +398,7 @@ def run_qn(
         },
         verdicts={
             "monotone_nonincreasing": monotone,
-            "alpha_hat_positive": slope is not None and slope > 0,
+            "alpha_hat_positive": _slope_positive(pts),
             "certified": certified,
         },
     )

@@ -14,8 +14,9 @@ with the oracles.  The last section keeps the package's earlier second
 algorithms as references: the Newton inverse, the pointwise D U_x columns,
 the grid built by Laurent additions, the recursive difference quotient,
 the member loop that reads every condition of every member on every cell,
-and the constructed family built by one point test and one reduction per
-grid center.
+the constructed family built by one point test and one reduction per
+grid center, and the sup norm and resonant gate that recenter their
+polynomials at every cell.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from fractions import Fraction
 from ffdioph.cells import IN, OUT, UNKNOWN
 from ffdioph.dioph import frac_exp, in_phi_f_point
 from ffdioph.errors import PrecisionError
-from ffdioph.ffield import (DEFAULT_INV_TERMS, Ball, GridSpec, Laurent, Poly, enumerate_shell,
-                            strict_below)
+from ffdioph.ffield import (AbsValue, DEFAULT_INV_TERMS, Ball, GridSpec, Laurent, Poly,
+                            enumerate_shell, strict_below)
 from ffdioph.latdyn import LaurentMatrix, ReducedLattice, fq_dependence, sup_norm_vec
 from ffdioph.ubiq import build_resonant_fn
+from ffdioph.ultracalc import VarTable
 
 
 def laurent_cols_to_poly(cols):
@@ -194,13 +196,26 @@ def naive_W_measure(m, psi, theta_on, t0, t1, grid, depth):
     """Full-depth recursive sweep straight from the definition of W."""
     spec = m.spec
     dom = grid.resolved_domain
-    shells = []
+    # each shell enumerated once: a member is its (i, k) pairs, a_i != 0
+    # being coeffs[k]
+    shells, coeffs, index = [], [], {}
     for t in range(t0, t1 + 1):
         e = psi.exp_at_shell(t)
         if e is None:
             continue
         tau = strict_below(e)
-        shells.append((t, tau))
+        members = []
+        for a in enumerate_shell(spec, m.n, t):
+            pairs = []
+            for i, ai in enumerate(a):
+                if not ai.is_zero:
+                    k = index.get(ai)
+                    if k is None:
+                        k = index[ai] = len(coeffs)
+                        coeffs.append(ai.to_laurent())
+                    pairs.append((i, k))
+            members.append(pairs)
+        shells.append((t, tau, members))
     total = Fraction(0)
 
     def cell_status(x, r):
@@ -208,23 +223,22 @@ def naive_W_measure(m, psi, theta_on, t0, t1, grid, depth):
         decided_out = True
         fx = m.eval(x)
         th = m.eval_theta(x) if theta_on else Laurent.zero(spec)
-        prods = {}  # (i, a_i) -> a_i * f_i(x), each product made once per cell
-        for t, tau in shells:
+        prods = {}  # (i, k) -> coeffs[k] * f_i(x), each product made once per cell
+        for t, tau, members in shells:
             if tau >= -1:
                 return 1
-            for a in enumerate_shell(spec, m.n, t):
+            var = t - r  # coefficient bound: ||a|| q^{-r} on normalized maps
+            if var > -1:
+                decided_out = False
+                continue
+            for pairs in members:
                 z = th
-                for i, ai in enumerate(a):
-                    if not ai.is_zero:
-                        p = prods.get((i, ai))
-                        if p is None:
-                            p = prods[i, ai] = ai.to_laurent() * fx[i]
-                        z = z + p
+                for ik in pairs:
+                    p = prods.get(ik)
+                    if p is None:
+                        p = prods[ik] = coeffs[ik[1]] * fx[ik[0]]
+                    z = z + p
                 w = frac_exp(z)
-                var = t - r  # coefficient bound: ||a|| q^{-r} on normalized maps
-                if var > -1:
-                    decided_out = False
-                    continue
                 if (w is None or w <= tau) and var <= tau:
                     return 1
                 if w is not None and w > tau and w > var:
@@ -610,3 +624,67 @@ def pointwise_constructed_family(m, t, delta_exp, B, params):
             continue
         family.setdefault((g.a0, g.a), g)
     return list(family.values()), skipped
+
+
+def _cell_table(g, cell):
+    """(exponent of |g(center)|, VarTable of g on the cell) from one
+    recentering at the cell's center."""
+    rec = g.recenter(cell.center)
+    c0 = rec.terms.get((0,) * g.d)
+    zero = tuple(Laurent.zero(g.spec) for _ in range(g.d))
+    return (None if c0 is None else c0.abs_exp()), VarTable(rec, Ball(zero, cell.radius_exp))
+
+
+def percell_sup_norm_on_ball(g, ball):
+    """``ultracalc.sup_norm_on_ball`` with a VarTable recentered at every
+    cell: its center value and its sup bound on the cell."""
+    if g.is_zero:
+        return AbsValue.zero()
+    best = None
+    level = [ball]
+    while level:
+        pending = []
+        for cell in level:
+            v_exp, vt = _cell_table(g, cell)
+            if v_exp is not None and (best is None or v_exp > best):
+                best = v_exp
+            if vt.sup_exp is not None:
+                pending.append((cell, vt.sup_exp))
+        nxt = []
+        for cell, bound in pending:
+            if best is not None and bound <= best:
+                continue
+            if cell.radius_exp >= ball.radius_exp + 60:
+                raise PrecisionError("sup-norm refinement exceeded the depth budget")
+            nxt.extend(cell.subdivide())
+        level = nxt
+    return AbsValue.zero() if best is None else AbsValue(best)
+
+
+def percell_resonant_gate(g, U0):
+    """``ubiq.resonant_gate`` with a VarTable of each partial recentered at
+    every cell, built only as the cell reaches that partial."""
+    if U0.radius_exp < 2:
+        raise ValueError("gate domain needs diam <= 1/q^2 (radius_exp >= 2)")
+    stack = [U0]
+    while stack:
+        cell = stack.pop()
+        vals, decided = [], None
+        for p in g.partials:
+            v_exp, vt = _cell_table(p, cell)
+            var = vt.var_exp(cell.radius_exp)
+            if var is not None and (v_exp is None or v_exp <= var):
+                decided = UNKNOWN
+                break
+            vals.append(v_exp)
+        if decided is None:
+            rest = [v for v in vals if v is not None]
+            decided = IN if rest and vals[0] is not None and vals[0] >= max(rest) - 1 else OUT
+        if decided == OUT:
+            return False
+        if decided == IN:
+            continue
+        if cell.radius_exp >= U0.radius_exp + 24:
+            raise PrecisionError("gate certification exceeded the depth budget")
+        stack.extend(cell.subdivide())
+    return True

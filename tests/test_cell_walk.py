@@ -190,3 +190,30 @@ def test_constructed_family_equals_pointwise(case):
             constructed_family(m, t, delta, B, params)
         return
     assert constructed_family(m, t, delta, B, params) == want
+
+
+def test_walk_tries_each_level_in_cell_order(monkeypatch):
+    # the README's t = 3: windows return only on the level above the
+    # resolution, about half of them.  Each level tries its windows in cell
+    # order, so that level keeps trying and shares 969 reductions over 2,907
+    # centers; popping the last child first, its first window raised and
+    # the level stopped
+    ver = xcli.load_map_file(ROOT / "maps" / "veronese2_q3.map")
+    B = Ball.unit(F3, 1, 2)
+    tried = {}  # radius exponent -> the centers whose windows were reduced
+    columns = ubiq.minkowski_columns
+
+    def recording(m, x, t):
+        if x[0].prec is not None:
+            tried.setdefault(1 - x[0].prec, []).append(tuple(Laurent(F3, z.terms) for z in x))
+        return columns(m, x, t)
+
+    monkeypatch.setattr(ubiq, "minkowski_columns", recording)
+    walked = ubiq._walk(ver, 3, -1, B, 12)
+    for r, centers in tried.items():
+        order = {cell.center: k for k, cell in enumerate(GridSpec(F3, 1, r, B).cells())}
+        ks = [order[x] for x in centers]
+        assert ks == sorted(ks) and len(set(ks)) == len(ks), r
+    windows = [w for _, w in walked.values() if w is not None]
+    assert len(tried[11]) == 1939 and len(windows) == 2907
+    assert len({id(w) for w in windows}) == 969

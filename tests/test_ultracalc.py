@@ -359,8 +359,6 @@ def test_var_table_matches_recentered_formulas_and_bounds_subcells():
             B = Ball(center, r0)
             vt, vh = VarTable(g, B), VarTable(h, B)
             rec = g.recenter(center)
-            c0 = rec.terms.get((0,) * d)
-            assert vt.center_exp == (None if c0 is None else c0.abs_exp())
             assert vt.sup_exp == _coef_max(rec, r0, 0)
             assert vt.weight_exp(0) == vt.sup_exp
             assert vt.var_exp(r0) == _coef_max(rec, r0, 1)
@@ -368,7 +366,7 @@ def test_var_table_matches_recentered_formulas_and_bounds_subcells():
             # the weight >= 2 part of X^s1 g + X^s2 h, as ResonantDistAtom folds it
             s1, s2 = rng.randrange(-1, 3), rng.randrange(-1, 3)
             sec = VarTable.fold([(vt, s1), (vh, s2)], min_weight=2)
-            assert sec.center_exp is None and sec.sup_exp is None
+            assert sec.sup_exp is None
             G = g.scale(Laurent.X(spec, s1)) + h.scale(Laurent.X(spec, s2))
             # soundness on subcells one and two levels down
             level = [B]

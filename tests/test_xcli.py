@@ -20,9 +20,11 @@ from ffdioph.xcli import (
     run_khintchine,
     run_qn,
     run_ubiquity,
+    _slope_positive,
 )
 
 F3 = FieldSpec(3)
+ROOT = Path(__file__).resolve().parent.parent
 
 MAP_TEXT = """\
 # Veronese curve over F_3
@@ -93,6 +95,15 @@ def test_load_map_file(veronese_map):
     assert m.components[0] == MPoly.var(F3, 1, 0)
     assert m.theta is None
     assert m.resolved_domain == Ball.unit(F3, 1, 1)
+
+
+def test_load_map_file_reads_subtraction(tmp_path):
+    p = tmp_path / "sub.map"
+    p.write_text("field: 3\nn: 2\nf1: x1\nf2: x1^2 - X^-1*x1\ntheta: -(X^-1 - 1)*x1\n")
+    m = load_map_file(p)
+    x = (Laurent(F3, [(-1, 1)]),)
+    assert m.eval(x) == (x[0], Laurent.zero(F3))
+    assert m.eval_theta(x) == Laurent(F3, [(-1, 1), (-2, 2)])
 
 
 def test_load_map_file_rejects_python_power(tmp_path):
@@ -184,6 +195,32 @@ def test_run_biggrad_builds_partials_once(monkeypatch):
     monkeypatch.setattr(MPoly, "partial", lambda g, j: built.append(j) or partial(g, j))
     run_biggrad(veronese(F3, 2), [-1, -2], 1, Fraction(1, 4), 4)
     assert len(built) == 3
+
+
+def test_alpha_hat_positive_on_the_readme_qn_run():
+    # the README's qn configuration: the exact sign agrees with the float
+    # slope, and is read from the measures of the table
+    m = load_map_file(ROOT / "maps" / "veronese2_q3.map")
+    rep = run_qn(m, 6, 0, (4, 4), [-1, -2, -3, -4, -5], 6)
+    assert rep.verdicts["alpha_hat_positive"] and rep.summary["alphaHat"] > 0
+    pts = [(Fraction(r["epsExp"]), Fraction(r["measure"])) for r in rep.tables["eps_sweep"]]
+    assert _slope_positive([(e, mu) for e, mu in pts if mu > 0])
+
+
+@pytest.mark.parametrize("points, want", [
+    ([], False),
+    ([(-1, Fraction(1, 3))], False),                      # one point: no slope
+    ([(-1, Fraction(1, 3)), (-1, Fraction(1, 9))], False),  # one abscissa
+    ([(-1, Fraction(1, 3)), (-2, Fraction(1, 9))], True),
+    ([(-1, Fraction(1, 9)), (-2, Fraction(1, 3))], False),
+    ([(-1, Fraction(1, 3)), (-2, Fraction(1, 9)), (-3, Fraction(1, 3))], False),  # slope 0
+    # the float logs of these measures are equal, so the float slope is
+    # 0; the exact sign is that of log(1) - log(1 - 3^-60) > 0
+    ([(0, Fraction(3**60 - 1, 3**60)), (1, Fraction(1))], True),
+    ([(Fraction(1, 2), Fraction(1, 3)), (1, Fraction(1))], True),  # rational abscissae
+])
+def test_slope_sign_is_exact(points, want):
+    assert _slope_positive(points) is want
 
 
 def test_run_qn():
